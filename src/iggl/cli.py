@@ -5,7 +5,8 @@ penalty path with a per-penalty table), ``simulate`` (synthetic data with
 known ground truth), and ``metrics`` (compare two precision matrices).
 Inputs are headered CSV plus a JSON config; outputs are result JSON, DOT
 graphs, and CSV tables.  Exit codes: 0 success, 1 input or config error,
-2 non-convergence (the result file is still written, flagged).
+2 non-convergence (the result file is still written, flagged), 3 numerical
+failure of the solver (no result is written).
 """
 
 from __future__ import annotations
@@ -15,18 +16,22 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
 from .core import FitProblem, fit, first_iteration_s
 from .datagen import GENERATOR_ID, GraphPattern, make_precision, sample_gaussian, sample_glm
-from .losses import LOSS_KINDS, loss_from_config
+from .losses import LOSS_KINDS, check_domain, loss_from_config
 from .select import EDGE_EPS, bregman_sym, degrees_of_freedom, edge_metrics, fit_path, lambda_grid
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NONCONVERGED = 2
+EXIT_NUMERICAL = 3
+
+SCHEMA_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "config.schema.json")
 
 
 class InputError(ValueError):
@@ -90,6 +95,11 @@ def load_config(path):
         raise InputError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise InputError(f"{path}: config must be a JSON object")
+    with open(SCHEMA_PATH, "r", encoding="utf-8") as fh:
+        known = json.load(fh)["properties"]
+    unknown = sorted(set(cfg) - set(known))
+    if unknown:
+        raise InputError(f"{path}: unknown config key {', '.join(map(repr, unknown))}")
     return cfg
 
 
@@ -160,23 +170,15 @@ def resolve_column_losses(cfg, names, Y):
     for k, (kind, params) in enumerate(specs):
         y = Y[:, k]
         try:
-            _check_column_domain(kind, y)
+            check_domain(kind, y)
             losses.append(loss_from_config(kind, params, column=y))
         except ValueError as exc:
             raise InputError(f"column {names[k]!r}: {exc}") from None
     return tuple(losses)
 
 
-def _check_column_domain(kind, y):
-    if kind == "bernoulli" and not np.all((y == 0) | (y == 1)):
-        raise ValueError("bernoulli loss requires labels in {0, 1}")
-    if kind in ("huberized_hinge", "lorenz") and not np.all((y == -1) | (y == 1)):
-        raise ValueError(f"{kind} loss requires labels in {{-1, +1}}")
-    if kind == "poisson_reparam" and (np.any(y < 0) or np.any(y != np.floor(y))):
-        raise ValueError("count loss requires nonnegative integer entries")
-
-
-def build_problem(cfg, Y, lam):
+def build_problem(cfg, Y, losses):
+    """The configured problem at penalty zero; callers set ``lam``."""
     M = None
     mean = cfg.get("mean", "intercept")
     if mean != "intercept":
@@ -187,8 +189,8 @@ def build_problem(cfg, Y, lam):
             raise InputError(f"mean matrix shape {M.shape} does not match data shape {Y.shape}")
     return FitProblem(
         Y=Y,
-        losses=cfg["_losses"],
-        lam=lam,
+        losses=losses,
+        lam=0.0,
         M=M,
         phi_c=float(cfg.get("phi_c", 1e-3)),
         outer_tol=float(cfg.get("outer_tol", 1e-6)),
@@ -313,59 +315,56 @@ def _opt(args, cfg, key, default=None):
     return cfg.get(key, default)
 
 
-def cmd_fit(args) -> int:
+def _load_run(args):
+    """Config, column names, and the penalty-free problem of ``fit``/``path``."""
     cfg = load_config(args.config) if args.config else {}
     data = _opt(args, cfg, "data")
     if not data:
         raise InputError("no input data: pass --data or set 'data' in the config")
     names, Y = read_csv_matrix(data)
-    cfg["_losses"] = resolve_column_losses(cfg, names, Y)
+    losses = resolve_column_losses(cfg, names, Y)
     cfg["equalize_lipschitz"] = bool(_opt(args, cfg, "equalize_lipschitz", False))
-    eps = float(_opt(args, cfg, "edge_threshold", EDGE_EPS))
-    drop = bool(_opt(args, cfg, "drop_isolated", False))
+    return cfg, names, build_problem(cfg, Y, losses)
 
-    mode, lam_spec = _lambda_plan(cfg)
+
+def _run_path(problem, lam_spec):
+    """BIC path over the configured grid anchored on the first-iteration S."""
+    return fit_path(problem, lambda_grid(first_iteration_s(problem), **lam_spec))
+
+
+def _write_result(args, cfg, names, result, path, default_out):
+    """Result JSON (with the path's selection, if any) and optional DOT graph."""
+    eps = float(_opt(args, cfg, "edge_threshold", EDGE_EPS))
     selection = None
-    if mode == "fixed":
-        result = fit(build_problem(cfg, Y, lam_spec))
-    else:
-        probe = build_problem(cfg, Y, 0.0)
-        grid = lambda_grid(first_iteration_s(probe), **lam_spec)
-        path = fit_path(probe, grid)
-        result = path.fits[path.selected_index]
+    if path is not None:
         selection = {
             "lambdas": [float(v) for v in path.lambdas],
             "bic": [None if not np.isfinite(b) else float(b) for b in path.bic],
             "selected_index": int(path.selected_index),
         }
-
-    out = _opt(args, cfg, "out", "result.json")
-    _dump_json(fit_result_document(result, names, eps, selection), out)
+    _dump_json(fit_result_document(result, names, eps, selection), _opt(args, cfg, "out", default_out))
     dot = _opt(args, cfg, "dot")
     if dot:
+        drop = bool(_opt(args, cfg, "drop_isolated", False))
         write_dot(dot, names, edge_list(result.estimate.W, names, eps), drop_isolated=drop)
     return EXIT_OK if result.converged else EXIT_NONCONVERGED
 
 
-def cmd_path(args) -> int:
-    cfg = load_config(args.config) if args.config else {}
-    data = _opt(args, cfg, "data")
-    if not data:
-        raise InputError("no input data: pass --data or set 'data' in the config")
-    names, Y = read_csv_matrix(data)
-    cfg["_losses"] = resolve_column_losses(cfg, names, Y)
-    cfg["equalize_lipschitz"] = bool(_opt(args, cfg, "equalize_lipschitz", False))
-    eps = float(_opt(args, cfg, "edge_threshold", EDGE_EPS))
-    drop = bool(_opt(args, cfg, "drop_isolated", False))
-
+def cmd_fit(args) -> int:
+    cfg, names, problem = _load_run(args)
     mode, lam_spec = _lambda_plan(cfg)
-    probe = build_problem(cfg, Y, 0.0)
     if mode == "fixed":
-        grid = np.array([lam_spec])
-    else:
-        grid = lambda_grid(first_iteration_s(probe), **lam_spec)
-    path = fit_path(probe, grid, warm_start=not args.parallel, parallel=args.parallel)
+        return _write_result(args, cfg, names, fit(replace(problem, lam=lam_spec)), None, "result.json")
+    path = _run_path(problem, lam_spec)
+    return _write_result(args, cfg, names, path.fits[path.selected_index], path, "result.json")
 
+
+def cmd_path(args) -> int:
+    cfg, names, problem = _load_run(args)
+    mode, lam_spec = _lambda_plan(cfg)
+    path = fit_path(problem, [lam_spec]) if mode == "fixed" else _run_path(problem, lam_spec)
+
+    eps = float(_opt(args, cfg, "edge_threshold", EDGE_EPS))
     table = _opt(args, cfg, "table", "path.csv")
     with open(table, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -382,19 +381,7 @@ def cmd_path(args) -> int:
                     repr(float(path.bic[i])),
                     str(bool(res.converged)).lower(),
                 ])
-
-    selected = path.fits[path.selected_index]
-    selection = {
-        "lambdas": [float(v) for v in path.lambdas],
-        "bic": [None if not np.isfinite(b) else float(b) for b in path.bic],
-        "selected_index": int(path.selected_index),
-    }
-    out = _opt(args, cfg, "out", "selected.json")
-    _dump_json(fit_result_document(selected, names, eps, selection), out)
-    dot = _opt(args, cfg, "dot")
-    if dot:
-        write_dot(dot, names, edge_list(selected.estimate.W, names, eps), drop_isolated=drop)
-    return EXIT_OK if selected.converged else EXIT_NONCONVERGED
+    return _write_result(args, cfg, names, path.fits[path.selected_index], path, "selected.json")
 
 
 def _resolve_seed(args) -> int:
@@ -519,7 +506,6 @@ def build_parser():
     p_path.add_argument("--drop-isolated", dest="drop_isolated", action="store_const", const=True)
     p_path.add_argument("--equalize-lipschitz", dest="equalize_lipschitz", action="store_const", const=True,
                         help="rescale losses with bounds below one up to one (faster, changes units)")
-    p_path.add_argument("--parallel", action="store_true", help="fit penalties across threads (cold starts)")
     p_path.set_defaults(func=cmd_path)
 
     p_sim = sub.add_parser("simulate", help="generate synthetic data with known ground truth")
@@ -548,12 +534,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ValueError, RuntimeError) as exc:
+    except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

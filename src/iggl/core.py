@@ -30,11 +30,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .glasso import GGLInstance, PrecisionEstimate, ggl_objective, kkt_residual, log_det_pd, solve_ggl
+from .glasso import GGLInstance, PrecisionEstimate, log_det_pd, solve_ggl
 from .losses import (
     ColumnLoss,
     batch_grad,
     batch_value,
+    check_domain,
     force_unit_lipschitz,
     loss_value,
     robust_scale,
@@ -64,7 +65,6 @@ class FitProblem:
     penalize_diagonal: bool = False
     inner_tol: float = 1e-7
     inner_max_iter: int = 500
-    line_search: bool = False
 
 
 @dataclass
@@ -103,27 +103,14 @@ class FitResult:
     losses: tuple
 
 
-def spectral_norm(W, rel_tol=1e-8, max_iter=100_000) -> float:
-    """2-norm of a symmetric matrix by power iteration.
+def spectral_norm(W) -> float:
+    """2-norm of a symmetric matrix: its largest eigenvalue magnitude.
 
-    Deterministic: the start vector comes from a fixed-seed generator so a
-    rerun gives bit-identical results.
+    Exact, so a feasibility check against it cannot pass a W whose norm an
+    iterative estimate would have understated.
     """
-    W = np.asarray(W, dtype=float)
-    m = W.shape[0]
-    v = np.random.default_rng(0).standard_normal(m)
-    v /= np.linalg.norm(v)
-    nu_prev = 0.0
-    for _ in range(max_iter):
-        w = W @ v
-        nu = float(np.linalg.norm(w))
-        if nu == 0.0:
-            return 0.0
-        v = w / nu
-        if abs(nu - nu_prev) <= rel_tol * max(nu, 1e-300):
-            return nu
-        nu_prev = nu
-    return nu_prev
+    eig = np.linalg.eigvalsh(np.asarray(W, dtype=float))
+    return float(max(-eig[0], eig[-1]))
 
 
 def choose_phi(W0, c) -> float:
@@ -252,11 +239,11 @@ def poisson_preprocess(Y, columns):
     infos, losses = {}, {}
     for k in columns:
         y = Y[:, k]
-        if np.any(y < 0) or np.any(y != np.floor(y)):
-            raise ValueError(f"column {k}: count loss requires nonnegative integer entries")
+        try:
+            check_domain("poisson_reparam", y)
+        except ValueError as exc:
+            raise ValueError(f"column {k}: {exc}") from None
         ck = float(np.sum(y))
-        if ck <= 0:
-            raise ValueError(f"column {k}: count column sums to zero")
         scale = 2.0 / ck
         infos[k] = PoissonColumn(a=float(np.log(ck)), count_total=ck, scale=scale)
         losses[k] = ColumnLoss(
@@ -375,12 +362,6 @@ def fit(problem: FitProblem, W_init=None) -> FitResult:
     runs optimize the same criterion).  Stops when the relative change of
     the objective trace drops below ``outer_tol`` or after ``max_outer``
     iterations, whichever comes first.
-
-    ``line_search`` halves the gradient step (blending the update toward
-    the previous state) until the objective decreases, up to 30 halvings
-    per iteration.  The fixed unit step already guarantees descent for the
-    shipped losses; the option exists for user-supplied losses without a
-    trusted Lipschitz bound.
     """
     Y, losses, M, alpha, _, W0, phi = _prepare(problem)
     n = Y.shape[0]
@@ -398,14 +379,10 @@ def fit(problem: FitProblem, W_init=None) -> FitResult:
     Xi = Y.copy()
     Theta = Xi + phi * ((M - Xi) @ W)
     state = IterState(Theta=Theta, Xi=Xi, W=W, phi=phi)
-    est = None
     outer_converged = False
-    F_prev = None
-    if problem.line_search:
-        F_prev = outer_objective(Xi, Theta, W, M, phi, lam, Y, losses, problem.penalize_diagonal)
-
-    def one_step(Xi_step, W_warm):
-        E = Xi_step - M
+    for k in range(1, problem.max_outer + 1):
+        Xi = xi_update(Theta, Y, losses)
+        E = Xi - M
         S = (E.T @ E) / n
         S = 0.5 * (S + S.T)
         inst = GGLInstance(
@@ -415,60 +392,19 @@ def fit(problem: FitProblem, W_init=None) -> FitResult:
             tol=problem.inner_tol,
             max_iter=problem.inner_max_iter,
         )
-        est_step = solve_ggl(inst, W_init=W_warm)
-        if phi * spectral_norm(est_step.W) > 1.0 + 1e-12:
+        est = solve_ggl(inst, W_init=W)
+        W = est.W
+        if phi * spectral_norm(W) > 1.0 + 1e-12:
             raise RuntimeError(
                 "inner solver returned W with phi * ||W||_2 > 1; feasibility of "
                 "the shift decomposition is violated (phi stays at its initial value)"
             )
-        Theta_step = theta_update(Xi_step, M, est_step.W, phi)
-        F_step = outer_objective(Xi_step, Theta_step, est_step.W, M, phi, lam, Y, losses,
-                                 problem.penalize_diagonal)
-        return est_step, Theta_step, F_step
-
-    for k in range(1, problem.max_outer + 1):
-        if problem.line_search:
-            Xi_full = xi_update(Theta, Y, losses)
-            est, Theta_t, F = one_step(Xi_full, W)
-            # blend the candidate state back toward the previous one until
-            # the objective decreases; at t -> 0 the previous state (and
-            # objective) is recovered exactly, so halving terminates
-            Xi_old, W_old = Xi, W
-            Xi_t, W_t = Xi_full, est.W
-            t = 1.0
-            for _ in range(30):
-                if F <= F_prev + 1e-12 * (1.0 + abs(F_prev)):
-                    break
-                t *= 0.5
-                Xi_t = (1.0 - t) * Xi_old + t * Xi_full
-                W_t = (1.0 - t) * W_old + t * est.W
-                Theta_t = theta_update(Xi_t, M, W_t, phi)
-                F = outer_objective(Xi_t, Theta_t, W_t, M, phi, lam, Y, losses,
-                                    problem.penalize_diagonal)
-            Xi, Theta = Xi_t, Theta_t
-            if W_t is not est.W:
-                # a blended iterate is not itself an inner-solver solution;
-                # report its diagnostics against the blended cross-product
-                E_t = Xi_t - M
-                S_t = (E_t.T @ E_t) / n
-                S_t = 0.5 * (S_t + S_t.T)
-                est = PrecisionEstimate(
-                    W=W_t,
-                    objective=ggl_objective(S_t, W_t, lam, problem.penalize_diagonal),
-                    kkt_residual=kkt_residual(S_t, W_t, lam, problem.penalize_diagonal),
-                    iterations=est.iterations,
-                    converged=est.converged,
-                    objective_trace=est.objective_trace,
-                )
-        else:
-            Xi = xi_update(Theta, Y, losses)
-            est, Theta, F = one_step(Xi, W)
-        W = est.W
+        Theta = theta_update(Xi, M, W, phi)
+        F = outer_objective(Xi, Theta, W, M, phi, lam, Y, losses, problem.penalize_diagonal)
         state.F_trace.append(F)
         state.inner_iterations.append(est.iterations)
         state.Theta, state.Xi, state.W, state.k = Theta, Xi, W, k
         if k >= 2 and abs(F - F_prev) / (1.0 + abs(F_prev)) < problem.outer_tol:
-            F_prev = F
             outer_converged = True
             break
         F_prev = F

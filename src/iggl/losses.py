@@ -214,7 +214,12 @@ def _lorenz_grad(theta, y):
     return y * np.where(u <= 0.0, 2.0 * u / (1.0 + u * u), 0.0)
 
 
-def _check_labels(kind, y):
+def check_domain(kind, y):
+    """Raise ``ValueError`` unless column ``y`` lies in the domain of ``kind``.
+
+    Bernoulli labels are {0, 1}, margin labels {-1, +1}, and count columns
+    nonnegative integers with a positive total; other kinds take any real.
+    """
     y = np.asarray(y)
     if kind == "bernoulli":
         if not np.all((y == 0) | (y == 1)):
@@ -222,6 +227,11 @@ def _check_labels(kind, y):
     elif kind in MARGIN_KINDS:
         if not np.all((y == -1) | (y == 1)):
             raise ValueError(f"{kind} loss requires labels in {{-1, +1}}")
+    elif kind == "poisson_reparam":
+        if np.any(y < 0) or np.any(y != np.floor(y)):
+            raise ValueError("count loss requires nonnegative integer entries")
+        if np.sum(y) <= 0:
+            raise ValueError("count column sums to zero")
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +256,7 @@ def loss_value(loss: ColumnLoss, theta, y):
         ck = loss.params["count_total"]
         raw = -float(y @ theta) + ck * _logsumexp(theta)
         return loss.scale_factor * raw
-    _check_labels(kind, y)
+    check_domain(kind, y)
     if kind == "quadratic":
         raw = 0.5 * (theta - y) ** 2
     elif kind == "bernoulli":
@@ -281,7 +291,7 @@ def loss_grad(loss: ColumnLoss, theta, y):
             raise ValueError("poisson_reparam is a column-level loss; pass 1-d vectors")
         ck = loss.params["count_total"]
         return loss.scale_factor * (-y + ck * _softmax(theta))
-    _check_labels(kind, y)
+    check_domain(kind, y)
     if kind == "quadratic":
         raw = theta - y
     elif kind == "bernoulli":

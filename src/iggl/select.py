@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from concurrent.futures import ThreadPoolExecutor
 import warnings
 
 import numpy as np
@@ -80,21 +79,13 @@ def bic(result: FitResult) -> float:
     return float(n * ll + np.log(n) * degrees_of_freedom(W))
 
 
-def _fit_one(problem, lam, W_init):
-    try:
-        return fit(replace(problem, lam=float(lam)), W_init=W_init), None
-    except (ValueError, RuntimeError) as exc:
-        return None, f"lambda={lam:g}: {exc}"
-
-
-def fit_path(problem: FitProblem, lambdas, warm_start=True, parallel=False) -> PathResult:
+def fit_path(problem: FitProblem, lambdas) -> PathResult:
     """Fit every penalty in descending order, scoring each with BIC.
 
-    Warm starting reuses the previous precision estimate as the next
-    initializer (largest penalty first); it accelerates the path without
-    changing solutions.  ``parallel`` fans the fits across threads with cold
-    starts instead.  Failed fits are recorded and skipped by the selection;
-    ties in BIC resolve to the larger penalty.
+    Each fit is warm started from the previous precision estimate (largest
+    penalty first); this accelerates the path without changing solutions.
+    Failed fits are recorded and skipped by the selection; ties in BIC
+    resolve to the larger penalty.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     if lambdas.size == 0:
@@ -104,25 +95,26 @@ def fit_path(problem: FitProblem, lambdas, warm_start=True, parallel=False) -> P
 
     fits = [None] * lambdas.size
     errors = [None] * lambdas.size
-    if parallel and lambdas.size > 1:
-        with ThreadPoolExecutor() as pool:
-            results = list(pool.map(lambda lam: _fit_one(problem, lam, None), lambdas))
-        for i, (res, err) in enumerate(results):
-            fits[i], errors[i] = res, err
-    else:
-        W_prev = None
-        for i, lam in enumerate(lambdas):
-            res, err = _fit_one(problem, lam, W_prev if warm_start else None)
-            fits[i], errors[i] = res, err
-            if res is not None and warm_start:
-                W_prev = res.estimate.W
+    first_failure = None
+    W_prev = None
+    for i, lam in enumerate(lambdas):
+        try:
+            fits[i] = fit(replace(problem, lam=float(lam)), W_init=W_prev)
+        except (ValueError, RuntimeError) as exc:
+            errors[i] = f"lambda={lam:g}: {exc}"
+            first_failure = first_failure or exc
+        else:
+            W_prev = fits[i].estimate.W
 
     scores = np.full(lambdas.size, np.inf)
     for i, res in enumerate(fits):
         if res is not None:
             scores[i] = bic(res)
     if not np.any(np.isfinite(scores)):
-        raise RuntimeError("every path fit failed: " + "; ".join(e for e in errors if e))
+        # the first fit is cold started, so when it fails with a ValueError
+        # the problem itself was rejected (bad input), not the solver
+        failure = type(first_failure) if first_failure else RuntimeError
+        raise failure("every path fit failed: " + "; ".join(e for e in errors if e))
     selected = int(np.argmin(scores))  # first minimum = largest lambda on ties
     return PathResult(lambdas=lambdas, fits=fits, bic=scores, selected_index=selected, errors=errors)
 

@@ -228,6 +228,30 @@ class TestFit:
             kinds = [l["kind"] for l in json.load(fh)["losses"]]
         assert kinds == ["tukey", "huber", "huber", "quadratic", "quadratic"]
 
+    def test_mistyped_config_key_rejected(self, tmp_path, capsys):
+        sim = simulate(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        write(cfg, json.dumps({"losses": "quadratic", "lamda": 0.1}))
+        rc = main(["fit", "--data", str(sim / "Y.csv"), "--config", str(cfg), "--out", str(tmp_path / "r.json")])
+        assert rc == 1
+        assert "'lamda'" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_numerical_failure_exit_code(self, tmp_path, capsys):
+        # nearly collinear unit-variance columns: the unpenalized precision
+        # breaks the feasibility budget phi * ||W||_2 <= 1 inside the solver
+        rng = np.random.default_rng(8)
+        base = rng.standard_normal(40)
+        Y = np.column_stack([base, base + 1e-4 * rng.standard_normal(40)])
+        Y /= Y.std(axis=0, ddof=1)
+        data = tmp_path / "Y.csv"
+        write(data, "a,b\n" + "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in Y))
+        cfg = tmp_path / "cfg.json"
+        write(cfg, json.dumps({"losses": "quadratic", "lambda": 0, "phi_c": 0.9}))
+        rc = main(["fit", "--data", str(data), "--config", str(cfg), "--out", str(tmp_path / "r.json")])
+        assert rc == 3
+        assert "feasibility" in capsys.readouterr().err
+
     def test_mean_given_shape_mismatch(self, tmp_path, capsys):
         sim = simulate(tmp_path)
         m_csv = tmp_path / "M.csv"
@@ -257,23 +281,16 @@ class TestPath:
             doc = json.load(fh)
         assert doc["selection"]["bic"][doc["selection"]["selected_index"]] == min(bics)
 
-    def test_warm_and_parallel_agree_on_selection(self, tmp_path):
-        sim = simulate(tmp_path)
+    def test_fixed_lambda_input_error_is_not_numerical(self, tmp_path, capsys):
+        # every fit of the one-point path rejects the zero-variance column
+        data = tmp_path / "Y.csv"
+        write(data, "a,b\n1,2\n1,3\n1,1\n")
         cfg = tmp_path / "cfg.json"
-        write(cfg, json.dumps({"losses": "quadratic", "lambda": {"n_points": 5, "ratio": 0.05},
-                               "inner_tol": 1e-9}))
-        out_w = tmp_path / "warm.json"
-        out_p = tmp_path / "par.json"
-        assert main(["path", "--data", str(sim / "Y.csv"), "--config", str(cfg),
-                     "--table", str(tmp_path / "t1.csv"), "--out", str(out_w)]) == 0
-        assert main(["path", "--data", str(sim / "Y.csv"), "--config", str(cfg),
-                     "--table", str(tmp_path / "t2.csv"), "--out", str(out_p), "--parallel"]) == 0
-        with open(out_w) as fh:
-            sel_w = json.load(fh)["selection"]
-        with open(out_p) as fh:
-            sel_p = json.load(fh)["selection"]
-        assert sel_w["selected_index"] == sel_p["selected_index"]
-        assert sel_w["lambdas"] == sel_p["lambdas"]
+        write(cfg, json.dumps({"losses": "quadratic", "lambda": 0.1}))
+        rc = main(["path", "--data", str(data), "--config", str(cfg),
+                   "--table", str(tmp_path / "t.csv"), "--out", str(tmp_path / "s.json")])
+        assert rc == 1
+        assert "variance" in capsys.readouterr().err
 
 
 class TestMetrics:

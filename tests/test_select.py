@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -107,26 +109,16 @@ class TestFitPath:
         from iggl import first_iteration_s
 
         grid = lambda_grid(first_iteration_s(prob), n_points=8, ratio=0.02)
-        warm = fit_path(prob, grid, warm_start=True)
-        cold = fit_path(prob, grid, warm_start=False)
-        for fw, fc in zip(warm.fits, cold.fits):
-            assert np.max(np.abs(fw.estimate.W - fc.estimate.W)) <= 1e-6
+        warm = fit_path(prob, grid)
+        for lam, fw in zip(grid, warm.fits):
+            cold = fit(replace(prob, lam=lam))
+            assert np.max(np.abs(fw.estimate.W - cold.estimate.W)) <= 1e-6
 
     def test_requires_descending(self):
         Y = synth_data("quadratic", 3, 30, seed=8)
         prob = FitProblem(Y=Y, losses=quad_map(3), lam=0.0)
         with pytest.raises(ValueError):
             fit_path(prob, [0.1, 0.2])
-
-    def test_parallel_matches_sequential_cold(self):
-        Y = synth_data("quadratic", 4, 80, seed=9)
-        prob = FitProblem(Y=Y, losses=quad_map(4), lam=0.0, inner_tol=1e-9)
-        grid = np.array([0.3, 0.1, 0.03])
-        seq = fit_path(prob, grid, warm_start=False)
-        par = fit_path(prob, grid, parallel=True)
-        assert par.selected_index == seq.selected_index
-        for fs, fp in zip(seq.fits, par.fits):
-            assert np.max(np.abs(fs.estimate.W - fp.estimate.W)) <= 1e-8
 
 
 class TestBregman:
