@@ -95,12 +95,28 @@ def load_config(path):
         raise InputError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise InputError(f"{path}: config must be a JSON object")
-    with open(SCHEMA_PATH, "r", encoding="utf-8") as fh:
-        known = json.load(fh)["properties"]
-    unknown = sorted(set(cfg) - set(known))
-    if unknown:
-        raise InputError(f"{path}: unknown config key {', '.join(map(repr, unknown))}")
+    _check_keys(cfg, path)
     return cfg
+
+
+def _check_keys(obj, where, *path):
+    """Reject keys of config object ``obj`` that its schema object lacks.
+
+    ``path`` names the properties from the schema root down to the object;
+    an array stands for its items and a ``oneOf`` for its object alternative.
+    """
+    with open(SCHEMA_PATH, "r", encoding="utf-8") as fh:
+        node = json.load(fh)
+    for name in path:
+        node = _schema_object(node)["properties"][name]
+    unknown = sorted(set(obj) - set(_schema_object(node)["properties"]))
+    if unknown:
+        raise InputError(f"{where}: unknown config key {', '.join(map(repr, unknown))}")
+
+
+def _schema_object(node):
+    node = node.get("items", node)
+    return next(alt for alt in node.get("oneOf", [node]) if alt.get("type") == "object")
 
 
 def _parse_loss_spec(spec, where):
@@ -142,6 +158,7 @@ def resolve_column_losses(cfg, names, Y):
         section = {"default": section}
     if not isinstance(section, dict):
         raise InputError("config: 'losses' must be an object")
+    _check_keys(section, "config: losses", "losses")
     specs = [None] * m
     default = section.get("default")
     if default is not None:
@@ -151,6 +168,7 @@ def resolve_column_losses(cfg, names, Y):
         where = f"losses.ranges[{i}]"
         if not isinstance(entry, dict) or "columns" not in entry or "loss" not in entry:
             raise InputError(f"{where}: need 'columns' and 'loss'")
+        _check_keys(entry, where, "losses", "ranges")
         kp = _parse_loss_spec(entry["loss"], where)
         for k in _parse_range(str(entry["columns"]), m, where):
             specs[k] = kp
@@ -212,8 +230,8 @@ def _lambda_plan(cfg):
     if lam == "auto":
         return ("grid", {"n_points": 30, "ratio": 0.01})
     if isinstance(lam, dict):
-        grid = {"n_points": int(lam.get("n_points", 30)), "ratio": float(lam.get("ratio", 0.01))}
-        return ("grid", grid)
+        _check_keys(lam, "config: lambda", "lambda")
+        return ("grid", {"n_points": int(lam.get("n_points", 30)), "ratio": float(lam.get("ratio", 0.01))})
     raise InputError("config: 'lambda' must be a number, \"auto\", or a grid object")
 
 

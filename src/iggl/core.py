@@ -140,16 +140,18 @@ def theta_update(Xi, M, W, phi) -> np.ndarray:
     return Xi + phi * ((M - Xi) @ W)
 
 
-def outer_objective(Xi, Theta, W, M, phi, lam, Y, losses, penalize_diagonal=False) -> float:
+def outer_objective(S, Theta, W, phi, lam, Y, losses, penalize_diagonal=False) -> float:
     """Value of the full criterion at the current loop variables.
 
-    The auxiliary shift never appears: its quadratic penalty equals
-    Tr{(Xi - M)(I - phi W) W (Xi - M)^T}, evaluated directly from Xi.
+    The auxiliary shift never appears: its quadratic penalty
+    Tr{(Xi - M)(I - phi W) W (Xi - M)^T} / 2 equals
+    n/2 [tr(SW) - phi tr(SW^2)] with S = (Xi - M)^T (Xi - M) / n, the
+    cross-product of the same iteration, so it costs m x m products
+    instead of n x m ones.
     """
     n = np.asarray(Y).shape[0]
-    E = np.asarray(Xi, dtype=float) - np.asarray(M, dtype=float)
-    B = E - phi * (E @ W)
-    quad = 0.5 * float(np.sum((B @ W) * E))
+    SW = np.asarray(S, dtype=float) @ W
+    quad = 0.5 * n * float(np.trace(SW) - phi * np.trace(SW @ W))
     pen = np.sum(np.abs(W))
     if not penalize_diagonal:
         pen -= np.sum(np.abs(np.diag(W)))
@@ -194,10 +196,8 @@ def estimate_intercepts(Y, losses) -> np.ndarray:
             alpha[k] = float(np.mean(y))
             continue
         if loss.kind == "poisson_reparam":
-            total = float(np.sum(y))
-            if total <= 0:
-                raise ValueError(f"column {k}: count column sums to zero")
-            alpha[k] = float(np.log(total))
+            _check_column("poisson_reparam", y, k)
+            alpha[k] = float(np.log(np.sum(y)))
             continue
 
         def column_loss(a, y=y, loss=loss):
@@ -239,10 +239,7 @@ def poisson_preprocess(Y, columns):
     infos, losses = {}, {}
     for k in columns:
         y = Y[:, k]
-        try:
-            check_domain("poisson_reparam", y)
-        except ValueError as exc:
-            raise ValueError(f"column {k}: {exc}") from None
+        _check_column("poisson_reparam", y, k)
         ck = float(np.sum(y))
         scale = 2.0 / ck
         infos[k] = PoissonColumn(a=float(np.log(ck)), count_total=ck, scale=scale)
@@ -253,6 +250,14 @@ def poisson_preprocess(Y, columns):
             lipschitz=1.0,
         )
     return infos, losses
+
+
+def _check_column(kind, y, k):
+    """:func:`check_domain` with the column index in its message."""
+    try:
+        check_domain(kind, y)
+    except ValueError as exc:
+        raise ValueError(f"column {k}: {exc}") from None
 
 
 def calibrate_losses(losses, alpha, Y, h=1e-4, min_curvature=1e-8):
@@ -298,6 +303,11 @@ def _prepare(problem: FitProblem):
     losses = list(problem.losses)
     if len(losses) != m:
         raise ValueError(f"expected {m} losses, got {len(losses)}")
+    # the loop's batch kernels assume in-domain columns and do not check;
+    # count columns are checked by poisson_preprocess
+    for k, loss in enumerate(losses):
+        if loss.kind != "poisson_reparam":
+            _check_column(loss.kind, Y[:, k], k)
 
     poisson_cols = [k for k, l in enumerate(losses) if l.kind == "poisson_reparam"]
     infos = {}
@@ -400,7 +410,7 @@ def fit(problem: FitProblem, W_init=None) -> FitResult:
                 "the shift decomposition is violated (phi stays at its initial value)"
             )
         Theta = theta_update(Xi, M, W, phi)
-        F = outer_objective(Xi, Theta, W, M, phi, lam, Y, losses, problem.penalize_diagonal)
+        F = outer_objective(S, Theta, W, phi, lam, Y, losses, problem.penalize_diagonal)
         state.F_trace.append(F)
         state.inner_iterations.append(est.iterations)
         state.Theta, state.Xi, state.W, state.k = Theta, Xi, W, k

@@ -12,6 +12,12 @@ fixed-unit-step outer solver needs ``lipschitz <= 1``, which
 :func:`scale_to_unit_lipschitz` enforces by rescaling losses whose bound
 exceeds one.
 
+Each formula is written once, as a per-kind kernel.  The single-column
+:func:`loss_value` and :func:`loss_grad` check that the column lies in its
+kind's domain (:func:`check_domain`) before calling it.  The whole-matrix
+:func:`batch_value` and :func:`batch_grad` make one kernel call per loss
+kind and assume in-domain data: ``fit`` checks each column once.
+
 All operations here are pure functions of their arguments; ``ColumnLoss``
 values are safe to share across threads.
 """
@@ -37,8 +43,6 @@ LOSS_KINDS = (
 PSI_KINDS = ("huber", "tukey", "hampel")
 # margin losses for labels in {-1, +1}
 MARGIN_KINDS = ("huberized_hinge", "lorenz")
-# losses whose gradient vanishes identically beyond a cutoff
-REDESCENDING_KINDS = ("tukey", "hampel")
 
 # consistency factor making the MAD unbiased for a Gaussian sigma
 MAD_SCALE = 1.4826
@@ -118,65 +122,49 @@ def default_lipschitz(kind, params=None) -> float:
     poisson_reparam -> count_total/2 (curvature bound of the column loss).
     """
     params = params or {}
-    if kind == "quadratic":
-        return 1.0
-    if kind == "bernoulli":
-        return 0.25
-    if kind == "lorenz":
-        return 2.0
-    if kind == "huber":
-        return 1.0
-    if kind == "tukey":
-        return 1.0
     if kind == "huberized_hinge":
         return 1.0 / params.get("c", 1.0)
     if kind == "hampel":
         return max(1.0, params["a"] / (params["c"] - params["b"]))
     if kind == "poisson_reparam":
         return params["count_total"] / 2.0
-    raise ValueError(f"unknown loss kind {kind!r}")
+    fixed = {"quadratic": 1.0, "bernoulli": 0.25, "lorenz": 2.0, "huber": 1.0, "tukey": 1.0}
+    if kind not in fixed:
+        raise ValueError(f"unknown loss kind {kind!r}")
+    return fixed[kind]
 
 
 # ---------------------------------------------------------------------------
-# elementwise kernels (raw, unscaled)
+# per-kind kernels (raw, unscaled)
 # ---------------------------------------------------------------------------
+# Each kernel takes ``theta`` and ``y`` of one shape plus the kind's
+# parameters: scalars for one column, or row vectors that broadcast over an
+# (n, p) block of columns.  All kinds but poisson_reparam are elementwise.
 
-def _sigmoid(x):
-    # tanh form is overflow-safe on both tails
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
-
-
-def _logsumexp(x):
-    mx = np.max(x)
-    return mx + np.log(np.sum(np.exp(x - mx)))
-
-
-def _softmax(x):
-    e = np.exp(x - np.max(x))
-    return e / e.sum()
-
-
-def _huber_rho(t, c):
+def _huber_value(theta, y, c):
+    t = theta - y
     a = np.abs(t)
     return np.where(a <= c, 0.5 * t * t, c * a - 0.5 * c * c)
 
 
-def _huber_psi(t, c):
+def _huber_grad(theta, y, c):
+    t = theta - y
     return np.where(np.abs(t) <= c, t, c * np.sign(t))
 
 
-def _tukey_rho(t, c):
-    u = np.minimum((t / c) ** 2, 1.0)
+def _tukey_value(theta, y, c):
+    u = np.minimum(((theta - y) / c) ** 2, 1.0)
     return (c * c / 6.0) * (1.0 - (1.0 - u) ** 3)
 
 
-def _tukey_psi(t, c):
+def _tukey_grad(theta, y, c):
+    t = theta - y
     u = (t / c) ** 2
     return np.where(np.abs(t) <= c, t * (1.0 - u) ** 2, 0.0)
 
 
-def _hampel_rho(t, a, b, c):
-    at = np.abs(t)
+def _hampel_value(theta, y, a, b, c):
+    at = np.abs(theta - y)
     r1 = 0.5 * at * at
     r2 = a * at - 0.5 * a * a
     r3 = a * b - 0.5 * a * a + a * (c * (at - b) - 0.5 * (at * at - b * b)) / (c - b)
@@ -184,14 +172,11 @@ def _hampel_rho(t, a, b, c):
     return np.where(at <= a, r1, np.where(at <= b, r2, np.where(at <= c, r3, r4)))
 
 
-def _hampel_psi(t, a, b, c):
+def _hampel_grad(theta, y, a, b, c):
+    t = theta - y
     at = np.abs(t)
     s = np.sign(t)
-    return np.where(
-        at <= a,
-        t,
-        np.where(at <= b, a * s, np.where(at <= c, a * s * (c - at) / (c - b), 0.0)),
-    )
+    return np.where(at <= a, t, np.where(at <= b, a * s, np.where(at <= c, a * s * (c - at) / (c - b), 0.0)))
 
 
 def _hinge_value(theta, y, c):
@@ -214,11 +199,45 @@ def _lorenz_grad(theta, y):
     return y * np.where(u <= 0.0, 2.0 * u / (1.0 + u * u), 0.0)
 
 
+# The count loss couples the entries of a column: its kernels take (n, p)
+# blocks and reduce over contiguous rows of the transposed block, which sums
+# each column in the same order as a reduction over that column alone.
+
+def _poisson_value(theta, y, count_total):
+    T = np.ascontiguousarray(theta.T)
+    mx = np.max(T, axis=1)
+    lse = mx + np.log(np.sum(np.exp(T - mx[:, None]), axis=1))
+    return count_total * lse - np.sum(y * theta, axis=0)
+
+
+def _poisson_grad(theta, y, count_total):
+    T = np.ascontiguousarray(theta.T)
+    e = np.exp(T - np.max(T, axis=1, keepdims=True))
+    return count_total * (e / np.sum(e, axis=1, keepdims=True)).T - y
+
+
+# kind -> (value kernel, gradient kernel, parameter names); the tanh form of
+# the sigmoid is overflow-safe on both tails
+_KERNELS = {
+    "quadratic": (lambda theta, y: 0.5 * (theta - y) ** 2, lambda theta, y: theta - y, ()),
+    "bernoulli": (lambda theta, y: np.logaddexp(0.0, theta) - y * theta,
+                  lambda theta, y: 0.5 * (1.0 + np.tanh(0.5 * theta)) - y, ()),
+    "huber": (_huber_value, _huber_grad, ("c",)),
+    "tukey": (_tukey_value, _tukey_grad, ("c",)),
+    "hampel": (_hampel_value, _hampel_grad, ("a", "b", "c")),
+    "huberized_hinge": (_hinge_value, _hinge_grad, ("c",)),
+    "lorenz": (_lorenz_value, _lorenz_grad, ()),
+    "poisson_reparam": (_poisson_value, _poisson_grad, ("count_total",)),
+}
+_VALUE, _GRAD = 0, 1
+
+
 def check_domain(kind, y):
     """Raise ``ValueError`` unless column ``y`` lies in the domain of ``kind``.
 
     Bernoulli labels are {0, 1}, margin labels {-1, +1}, and count columns
     nonnegative integers with a positive total; other kinds take any real.
+    An unknown kind is rejected.
     """
     y = np.asarray(y)
     if kind == "bernoulli":
@@ -232,6 +251,8 @@ def check_domain(kind, y):
             raise ValueError("count loss requires nonnegative integer entries")
         if np.sum(y) <= 0:
             raise ValueError("count column sums to zero")
+    elif kind not in LOSS_KINDS:
+        raise ValueError(f"unknown loss kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -245,36 +266,9 @@ def loss_value(loss: ColumnLoss, theta, y):
     ``(theta, y)`` and returns an array of the same shape (a float for
     scalar inputs).  ``poisson_reparam`` is a column-level loss: ``theta``
     and ``y`` must be 1-d vectors for one column and a single float is
-    returned.
+    returned.  Raises ``ValueError`` when ``y`` is outside the kind's domain.
     """
-    theta = np.asarray(theta, dtype=float)
-    y = np.asarray(y, dtype=float)
-    kind = loss.kind
-    if kind == "poisson_reparam":
-        if theta.ndim != 1 or y.ndim != 1:
-            raise ValueError("poisson_reparam is a column-level loss; pass 1-d vectors")
-        ck = loss.params["count_total"]
-        raw = -float(y @ theta) + ck * _logsumexp(theta)
-        return loss.scale_factor * raw
-    check_domain(kind, y)
-    if kind == "quadratic":
-        raw = 0.5 * (theta - y) ** 2
-    elif kind == "bernoulli":
-        raw = np.logaddexp(0.0, theta) - y * theta
-    elif kind == "huber":
-        raw = _huber_rho(theta - y, loss.params["c"])
-    elif kind == "tukey":
-        raw = _tukey_rho(theta - y, loss.params["c"])
-    elif kind == "hampel":
-        raw = _hampel_rho(theta - y, loss.params["a"], loss.params["b"], loss.params["c"])
-    elif kind == "huberized_hinge":
-        raw = _hinge_value(theta, y, loss.params["c"])
-    elif kind == "lorenz":
-        raw = _lorenz_value(theta, y)
-    else:
-        raise ValueError(f"unknown loss kind {kind!r}")
-    out = loss.scale_factor * raw
-    return float(out) if out.ndim == 0 else out
+    return _column_op(_VALUE, loss, theta, y)
 
 
 def loss_grad(loss: ColumnLoss, theta, y):
@@ -283,33 +277,29 @@ def loss_grad(loss: ColumnLoss, theta, y):
     Elementwise except for ``poisson_reparam``, whose gradient couples all
     entries of the column through a softmax.
     """
+    return _column_op(_GRAD, loss, theta, y)
+
+
+def _column_op(op, loss, theta, y):
     theta = np.asarray(theta, dtype=float)
     y = np.asarray(y, dtype=float)
-    kind = loss.kind
-    if kind == "poisson_reparam":
+    if loss.kind == "poisson_reparam":
         if theta.ndim != 1 or y.ndim != 1:
             raise ValueError("poisson_reparam is a column-level loss; pass 1-d vectors")
-        ck = loss.params["count_total"]
-        return loss.scale_factor * (-y + ck * _softmax(theta))
-    check_domain(kind, y)
-    if kind == "quadratic":
-        raw = theta - y
-    elif kind == "bernoulli":
-        raw = _sigmoid(theta) - y
-    elif kind == "huber":
-        raw = _huber_psi(theta - y, loss.params["c"])
-    elif kind == "tukey":
-        raw = _tukey_psi(theta - y, loss.params["c"])
-    elif kind == "hampel":
-        raw = _hampel_psi(theta - y, loss.params["a"], loss.params["b"], loss.params["c"])
-    elif kind == "huberized_hinge":
-        raw = _hinge_grad(theta, y, loss.params["c"])
-    elif kind == "lorenz":
-        raw = _lorenz_grad(theta, y)
-    else:
-        raise ValueError(f"unknown loss kind {kind!r}")
-    out = loss.scale_factor * raw
+        out = _block_op(op, (loss,), theta[:, None], y[:, None])
+        return float(out[0]) if op == _VALUE else out[:, 0]
+    check_domain(loss.kind, y)
+    kernel = _KERNELS[loss.kind]
+    out = loss.scale_factor * kernel[op](theta, y, *(loss.params[p] for p in kernel[2]))
     return float(out) if out.ndim == 0 else out
+
+
+def _block_op(op, losses, theta, y):
+    """Scaled kernel ``op`` on an (n, p) block of columns of one kind."""
+    kernels = _KERNELS[losses[0].kind]
+    params = [np.array([loss.params[p] for loss in losses]) for p in kernels[2]]
+    scale = np.array([loss.scale_factor for loss in losses])
+    return scale * kernels[op](theta, y, *params)
 
 
 def scale_to_unit_lipschitz(loss: ColumnLoss) -> ColumnLoss:
@@ -388,32 +378,43 @@ def loss_from_config(kind, params=None, column=None) -> ColumnLoss:
 
 
 def batch_value(losses, Theta, Y) -> float:
-    """Sum of the per-column scaled losses over the whole matrix."""
-    Theta, Y = _check_batch(losses, Theta, Y)
-    total = 0.0
-    for k, loss in enumerate(losses):
-        v = loss_value(loss, Theta[:, k], Y[:, k])
-        total += v if np.ndim(v) == 0 else float(np.sum(v))
-    return float(total)
+    """Sum of the per-column scaled losses over the whole matrix.
+
+    One kernel call per loss kind.  Unlike :func:`loss_value` this does not
+    check that each column of ``Y`` lies in its kind's domain: ``fit``
+    checks every column once before its loop.
+    """
+    Theta, Y, groups = _check_batch(losses, Theta, Y)
+    if len(groups) == 1:
+        return float(np.sum(_block_op(_VALUE, losses, Theta, Y)))
+    return float(sum(np.sum(_block_op(_VALUE, group, Theta[:, cols], Y[:, cols])) for cols, group in groups))
 
 
 def batch_grad(losses, Theta, Y) -> np.ndarray:
     """Gradient of :func:`batch_value` with respect to ``Theta``.
 
-    Entrywise per column; column-wise for ``poisson_reparam`` columns.
+    Entrywise per column; column-wise for ``poisson_reparam`` columns.  One
+    kernel call per loss kind, on data assumed in-domain as for
+    :func:`batch_value`.
     """
-    Theta, Y = _check_batch(losses, Theta, Y)
+    Theta, Y, groups = _check_batch(losses, Theta, Y)
+    if len(groups) == 1:
+        return _block_op(_GRAD, losses, Theta, Y)
     G = np.empty_like(Theta)
-    for k, loss in enumerate(losses):
-        G[:, k] = loss_grad(loss, Theta[:, k], Y[:, k])
+    for cols, group in groups:
+        G[:, cols] = _block_op(_GRAD, group, Theta[:, cols], Y[:, cols])
     return G
 
 
 def _check_batch(losses, Theta, Y):
+    """Theta and Y as arrays, and (column indices, losses) of each loss kind."""
     Theta = np.asarray(Theta, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if Theta.shape != Y.shape or Theta.ndim != 2:
         raise ValueError(f"shape mismatch: Theta {Theta.shape} vs Y {Y.shape}")
     if len(losses) != Theta.shape[1]:
         raise ValueError(f"expected one loss per column: {len(losses)} losses for {Theta.shape[1]} columns")
-    return Theta, Y
+    groups = {}
+    for k, loss in enumerate(losses):
+        groups.setdefault(loss.kind, []).append(k)
+    return Theta, Y, [(cols, [losses[k] for k in cols]) for cols in groups.values()]

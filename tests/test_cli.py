@@ -237,6 +237,22 @@ class TestFit:
         assert "'lamda'" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("command, cfg, key", [
+        ("path", {"losses": "quadratic", "lambda": {"n_point": 3}}, "'n_point'"),
+        ("fit", {"losses": {"default": "quadratic", "column": {"x1": "huber"}}}, "'column'"),
+        ("fit", {"losses": {"default": "quadratic", "ranges": [{"columns": "0:2", "loss": "huber", "los": "x"}]},
+                 "lambda": 0.1}, "'los'"),
+    ])
+    def test_mistyped_nested_config_key_rejected(self, tmp_path, capsys, command, cfg, key):
+        sim = simulate(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        write(cfg_path, json.dumps(cfg))
+        rc = main([command, "--data", str(sim / "Y.csv"), "--config", str(cfg_path),
+                   "--out", str(tmp_path / "r.json")])
+        assert rc == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # nearly collinear unit-variance columns: the unpenalized precision
         # breaks the feasibility budget phi * ||W||_2 <= 1 inside the solver

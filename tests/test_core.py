@@ -114,8 +114,9 @@ class TestOuterObjective:
         Y = rng.standard_normal((12, 3))
         W = np.eye(3) * 1.7
         lam = 0.3
-        val = outer_objective(Y, Y, W, Y, 0.01, lam, Y, quad_map(3))
         n = Y.shape[0]
+        S = (Y - Y).T @ (Y - Y) / n  # Xi = M = Y
+        val = outer_objective(S, Y, W, 0.01, lam, Y, quad_map(3))
         expect = -0.5 * n * log_det_pd(W)  # off-diagonal penalty is zero for diagonal W
         assert val == pytest.approx(expect, rel=1e-12)
 
@@ -123,9 +124,10 @@ class TestOuterObjective:
         rng = np.random.default_rng(5)
         Y = rng.standard_normal((9, 2))
         W = np.array([[1.0, 0.25], [0.25, 1.0]])
-        base = outer_objective(Y, Y, W, Y, 0.01, 0.0, Y, quad_map(2))
-        pen = outer_objective(Y, Y, W, Y, 0.01, 1.0, Y, quad_map(2))
         n = Y.shape[0]
+        S = (Y - Y).T @ (Y - Y) / n  # Xi = M = Y
+        base = outer_objective(S, Y, W, 0.01, 0.0, Y, quad_map(2))
+        pen = outer_objective(S, Y, W, 0.01, 1.0, Y, quad_map(2))
         assert pen - base == pytest.approx(0.5 * n * 2 * 0.25, rel=1e-12)
 
 
@@ -167,7 +169,8 @@ class TestShiftEliminationIdentity:
         phi = 0.5 / float(np.linalg.eigvalsh(W)[-1])
         lam = 0.2
         Theta = theta_update(Xi, M, W, phi)
-        got = outer_objective(Xi, Theta, W, M, phi, lam, Y, quad_map(m))
+        S = (Xi - M).T @ (Xi - M) / n
+        got = outer_objective(S, Theta, W, phi, lam, Y, quad_map(m))
         vals, vecs = np.linalg.eigh(np.eye(m) - phi * W)
         root = (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.T
         C = (Xi - M) @ root
@@ -422,6 +425,12 @@ class TestFit:
         res = fit(FitProblem(Y=Y, losses=losses, lam=0.05, max_outer=40, outer_tol=0.0))
         F = np.asarray(res.state.F_trace)
         assert np.all(np.diff(F) <= 1e-9 * (1.0 + np.abs(F[:-1])))
+
+    def test_out_of_domain_label_names_column(self):
+        Y = synth_data("bernoulli", 3, 30, seed=16)
+        Y[4, 1] = 2.0
+        with pytest.raises(ValueError, match="column 1: bernoulli loss requires labels"):
+            fit(FitProblem(Y=Y, losses=loss_map_for("bernoulli", Y), lam=0.1))
 
     def test_warm_start_feasibility_check(self):
         Y = synth_data("quadratic", 3, 50, seed=12)

@@ -221,6 +221,59 @@ class TestBatchOps:
         assert batch_value(losses, Theta, Y) == pytest.approx(expect, rel=1e-14)
 
 
+def _all_kinds_instance():
+    """One (Theta, Y) holding every loss kind, with per-column parameters that differ."""
+    rng = np.random.default_rng(7)
+    n = 500
+
+    def labels(low):
+        return np.where(rng.integers(0, 2, n) == 1, 1.0, low)
+
+    def counts(mu):
+        y = rng.poisson(mu, n).astype(float)
+        return ColumnLoss("poisson_reparam", {"count_total": y.sum()}, 2.0 / y.sum()), y
+
+    columns = [
+        (make_loss("quadratic"), rng.standard_normal(n)),
+        (make_loss("huber", c=0.8), rng.standard_normal(n)),
+        (make_loss("bernoulli"), labels(0.0)),
+        (make_loss("huber", c=1.7), rng.standard_normal(n)),
+        (make_loss("tukey", c=2.0), rng.standard_normal(n)),
+        (make_loss("hampel", a=1.0, b=2.0, c=4.0), rng.standard_normal(n)),
+        (make_loss("tukey", c=4.685), rng.standard_normal(n)),
+        (make_loss("huberized_hinge", c=0.5), labels(-1.0)),
+        (make_loss("lorenz"), labels(-1.0)),
+        (make_loss("hampel", a=0.5, b=1.5, c=3.0), rng.standard_normal(n)),
+        counts(0.2),
+        (make_loss("huberized_hinge", c=2.0), labels(-1.0)),
+        counts(5.0),
+        (make_loss("bernoulli", scale_factor=3.0), labels(0.0)),
+    ]
+    losses = tuple(loss for loss, _ in columns)
+    Y = np.column_stack([y for _, y in columns])
+    return losses, 3.0 * rng.standard_normal(Y.shape), Y
+
+
+class TestBatchParity:
+    def test_batch_grad_equals_column_stack(self):
+        losses, Theta, Y = _all_kinds_instance()
+        assert {loss.kind for loss in losses} == set(ALL_KINDS)
+        stack = np.column_stack([loss_grad(loss, Theta[:, k], Y[:, k]) for k, loss in enumerate(losses)])
+        assert np.array_equal(batch_grad(losses, Theta, Y), stack)
+
+    def test_batch_value_equals_column_sum(self):
+        losses, Theta, Y = _all_kinds_instance()
+        expect = sum(float(np.sum(loss_value(loss, Theta[:, k], Y[:, k]))) for k, loss in enumerate(losses))
+        assert batch_value(losses, Theta, Y) == pytest.approx(expect, rel=1e-14)
+
+    def test_single_kind_block_equals_column_stack(self):
+        losses, Theta, Y = _all_kinds_instance()
+        cols = [k for k, loss in enumerate(losses) if loss.kind == "huber"]
+        group = tuple(losses[k] for k in cols)
+        stack = np.column_stack([loss_grad(losses[k], Theta[:, k], Y[:, k]) for k in cols])
+        assert np.array_equal(batch_grad(group, Theta[:, cols], Y[:, cols]), stack)
+
+
 class TestPoissonColumnLoss:
     def test_requires_vectors(self):
         loss = ColumnLoss("poisson_reparam", {"count_total": 6.0}, scale_factor=2.0 / 6.0)
