@@ -23,14 +23,7 @@ from .core import (
     theta_update,
     xi_update,
 )
-from .datagen import (
-    GraphPattern,
-    make_precision,
-    oracle_ggl_2x2,
-    oracle_ggl_dense,
-    sample_gaussian,
-    sample_glm,
-)
+from .datagen import GraphPattern, make_precision, sample_gaussian, sample_glm
 from .glasso import GGLInstance, PrecisionEstimate, ggl_objective, kkt_residual, log_det_pd, solve_ggl
 from .losses import (
     ColumnLoss,
@@ -90,8 +83,6 @@ __all__ = [
     "loss_value",
     "make_loss",
     "make_precision",
-    "oracle_ggl_2x2",
-    "oracle_ggl_dense",
     "outer_objective",
     "poisson_preprocess",
     "robust_scale",

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -76,7 +77,7 @@ def read_csv_matrix(path):
                     v = float(cell)
                 except ValueError:
                     raise InputError(f"{path}: line {lineno}, column {name}: not numeric: {cell!r}") from None
-                if not np.isfinite(v):
+                if not math.isfinite(v):
                     raise InputError(f"{path}: line {lineno}, column {name}: non-finite value")
                 vals.append(v)
             rows.append(vals)
@@ -293,6 +294,8 @@ def fit_result_document(result, names, eps, selection=None):
         "converged": bool(result.converged),
         "outer_iterations": int(result.state.k),
         "inner_iterations": [int(v) for v in result.state.inner_iterations],
+        "inner_tols": [float(v) for v in result.state.inner_tols],
+        "inner_kkt": [float(v) for v in result.state.inner_kkt],
         "kkt_residual": float(result.estimate.kkt_residual),
         "objective_trace": [float(v) for v in result.state.F_trace],
         "intercepts": None if result.intercepts is None else [float(v) for v in result.intercepts],

@@ -294,6 +294,17 @@ def _column_op(op, loss, theta, y):
     return float(out) if out.ndim == 0 else out
 
 
+def kernel_value(loss: ColumnLoss, theta, y):
+    """Elementwise scaled loss values, without :func:`loss_value`'s domain check.
+
+    For callers that have checked the column once and evaluate it many
+    times, such as the intercept search of ``fit``.  Not for
+    ``poisson_reparam``, whose value is column-level.
+    """
+    value, _, names = _KERNELS[loss.kind]
+    return loss.scale_factor * value(theta, y, *(loss.params[p] for p in names))
+
+
 def _block_op(op, losses, theta, y):
     """Scaled kernel ``op`` on an (n, p) block of columns of one kind."""
     kernels = _KERNELS[losses[0].kind]

@@ -1,9 +1,21 @@
 """Shared test utilities: random instances, loss maps, data synthesis,
-and a strict validator for the DOT subset the exporter emits."""
+closed-form and brute-force inner-solver oracles, and a strict validator
+for the DOT subset the exporter emits."""
 
 import re
 
-from iggl import ColumnLoss, GraphPattern, make_loss, make_precision, robust_scale, sample_gaussian, sample_glm
+import numpy as np
+
+from iggl import (
+    ColumnLoss,
+    GraphPattern,
+    kkt_residual,
+    make_loss,
+    make_precision,
+    robust_scale,
+    sample_gaussian,
+    sample_glm,
+)
 
 ALL_KINDS = (
     "quadratic",
@@ -54,6 +66,197 @@ def synth_data(kind, m, n, seed, mu=0.0):
     if kind in ("huberized_hinge", "lorenz"):
         return 2.0 * sample_glm(n, W_star, "bernoulli", mu=mu, seed=seed) - 1.0
     return sample_gaussian(n, W_star, mu=mu, seed=seed)
+
+# inner-solver oracles, deliberately independent of the production solver
+# so they can certify it
+
+def oracle_ggl_2x2(S, lam, penalize_diagonal=False) -> np.ndarray:
+    """Closed-form 2x2 solution: soft-threshold the off-diagonal covariance.
+
+    The optimal covariance has diagonal diag(S) (+lam when the diagonal is
+    penalized) and off-diagonal sign(s12) * max(|s12| - lam, 0); the
+    precision is its inverse.
+    """
+    S = np.asarray(S, dtype=float)
+    if S.shape != (2, 2):
+        raise ValueError("oracle_ggl_2x2 requires a 2x2 matrix")
+    d = lam if penalize_diagonal else 0.0
+    s12 = float(S[0, 1])
+    off = np.sign(s12) * max(abs(s12) - lam, 0.0)
+    Sigma = np.array([[S[0, 0] + d, off], [off, S[1, 1] + d]])
+    det = Sigma[0, 0] * Sigma[1, 1] - off * off
+    if det <= 0 or Sigma[0, 0] <= 0:
+        raise ValueError("thresholded covariance is singular")
+    return np.array([[Sigma[1, 1], -off], [-off, Sigma[0, 0]]]) / det
+
+
+def oracle_ggl_dense(S, lam, penalize_diagonal=False, step=1e-4, max_iter=10**6, kkt_target=1e-5):
+    """Brute-force reference solver for small problems (m <= 6).
+
+    Two phases, both deliberately independent of the production solver.
+    First, plain subgradient descent with a small fixed step (flooring
+    eigenvalues at 1e-6 whenever an iterate loses positive definiteness);
+    a fixed-step subgradient method leaves should-be-zero entries
+    oscillating in a narrow band, so candidate active sets are read off by
+    snapping that band to zero and enumerating the ambiguous boundary
+    entries.  Second, each candidate is certified by solving the smooth
+    problem restricted to its support (penalty signs frozen) with a damped
+    Newton method.  The routine only ever returns a matrix whose KKT
+    residual is at most ``kkt_target`` and raises otherwise.
+    """
+    S = np.asarray(S, dtype=float)
+    m = S.shape[0]
+    if m > 6:
+        raise ValueError("dense oracle is limited to m <= 6")
+    lam = float(lam)
+    d = lam if penalize_diagonal else 0.0
+    if np.any(np.diag(S) + d <= 0):
+        raise ValueError("S has a nonpositive diagonal entry")
+    W = np.diag(1.0 / (np.diag(S) + d))
+
+    pen = np.ones((m, m), dtype=bool)
+    if not penalize_diagonal:
+        np.fill_diagonal(pen, False)
+    # oscillation band of a fixed-step subgradient method around zero
+    snap_base = step * (lam + float(np.max(np.abs(S))) + 1.0)
+    snap_levels = [50.0 * snap_base, 10.0 * snap_base, 2.0 * snap_base, 0.0]
+    check_every = 500
+    tried = set()
+
+    for it in range(1, max_iter + 1):
+        Winv = np.linalg.inv(W)
+        Winv = 0.5 * (Winv + Winv.T)
+        G = S - Winv
+        sub = np.where(pen & (W != 0.0), lam * np.sign(W), 0.0)
+        r_zero = np.where(pen & (W == 0.0), np.sign(G) * np.maximum(np.abs(G) - lam, 0.0), 0.0)
+        full = np.where(pen & (W == 0.0), r_zero, G + sub)
+        W = W - step * full
+        W = 0.5 * (W + W.T)
+        try:
+            np.linalg.cholesky(W)
+        except np.linalg.LinAlgError:
+            vals, vecs = np.linalg.eigh(W)
+            W = (vecs * np.maximum(vals, 1e-6)) @ vecs.T
+        if it % check_every == 0 or it == max_iter:
+            Winv = np.linalg.inv(W)
+            R = S - 0.5 * (Winv + Winv.T)
+            polished = _try_candidates(S, W, R, lam, pen, snap_levels, kkt_target, tried)
+            if polished is not None:
+                return polished
+    raise RuntimeError(f"dense oracle failed to reach KKT residual {kkt_target:g} in {max_iter} iterations")
+
+
+def _try_candidates(S, W, R, lam, pen, snap_levels, kkt_target, tried, max_enum=8):
+    """Guess-and-certify active sets from the current subgradient iterate.
+
+    Base candidates snap the oscillation band of W to zero and add every
+    entry whose stationarity at zero is violated (|R| > lam), frozen at its
+    descent sign.  Because the certification is cheap, entries sitting close
+    to the |R| = lam boundary (the genuinely ambiguous ones) are enumerated
+    both in and out of the support, capped at ``max_enum`` entries.  Every
+    attempted (support, signs) pair is cached by the caller's ``tried`` set.
+    """
+    entering = pen & (np.abs(R) > lam * (1.0 + 1e-9))
+    iu = np.triu_indices(S.shape[0], k=1)
+    band = pen & (np.abs(np.abs(R) - lam) <= 0.5 * lam)
+    band_idx = [(i, j) for i, j in zip(*iu) if band[i, j]]
+    if len(band_idx) > max_enum:
+        slack = [abs(abs(R[i, j]) - lam) for i, j in band_idx]
+        order = np.argsort(slack)[:max_enum]
+        band_idx = [band_idx[t] for t in order]
+
+    for snap in snap_levels:
+        cand = W.copy()
+        cand[pen & (np.abs(cand) < snap)] = 0.0
+        base_support = (cand != 0.0) | entering | ~pen
+        base_signs = np.where(cand != 0.0, np.sign(cand), -np.sign(R))
+        for combo in range(2 ** len(band_idx)):
+            support = base_support.copy()
+            for t, (i, j) in enumerate(band_idx):
+                inc = bool((combo >> t) & 1)
+                support[i, j] = support[j, i] = inc
+            signs = np.where(pen & support, base_signs, 0.0)
+            key = (support.tobytes(), signs.tobytes())
+            if key in tried:
+                continue
+            tried.add(key)
+            polished = _polish_on_support(S, cand, support, signs, lam, pen, kkt_target)
+            if polished is not None:
+                return polished
+    return None
+
+
+def _polish_on_support(S, W, support, signs, lam, pen, kkt_target, max_newton=60):
+    """Minimize the objective restricted to a support with frozen signs.
+
+    On the support the objective is smooth and strictly convex, and the
+    free dimension is tiny (at most 21 for m = 6), so a damped Newton
+    method with an explicit Hessian converges to near machine precision in
+    a handful of steps; off-support entries stay exactly zero.  Returns the
+    polished matrix iff its full KKT residual meets the target, which also
+    validates the guessed support and signs.
+    """
+    m = S.shape[0]
+    W = np.where(support, W, 0.0)
+    try:
+        np.linalg.cholesky(W)
+    except np.linalg.LinAlgError:
+        return None
+
+    I, J = np.nonzero(np.triu(support))
+    mult = np.where(I == J, 1.0, 2.0)
+
+    def assemble(w):
+        M = np.zeros((m, m))
+        M[I, J] = w
+        M[J, I] = w
+        return M
+
+    def smooth_value(M):
+        L = np.linalg.cholesky(M)
+        return float(np.sum(S * M) + lam * np.sum(signs * M)) - 2.0 * float(np.sum(np.log(np.diag(L))))
+
+    w = W[I, J].copy()
+    f_cur = smooth_value(W)
+    for _ in range(max_newton):
+        M = assemble(w)
+        K = np.linalg.inv(M)
+        K = 0.5 * (K + K.T)
+        g = mult * (S[I, J] - K[I, J] + lam * signs[I, J])
+        if np.max(np.abs(g)) <= 1e-11 * max(1.0, np.max(np.abs(S))):
+            break
+        # Hessian of -log det restricted to the symmetric free entries
+        H = 0.5 * np.outer(mult, mult) * (
+            K[np.ix_(I, I)] * K[np.ix_(J, J)] + K[np.ix_(I, J)] * K[np.ix_(J, I)]
+        )
+        try:
+            d = np.linalg.solve(H, g)
+        except np.linalg.LinAlgError:
+            return None
+        t = 1.0
+        stepped = False
+        for _ in range(60):
+            w_t = w - t * d
+            M_t = assemble(w_t)
+            try:
+                f_t = smooth_value(M_t)
+            except np.linalg.LinAlgError:
+                t *= 0.5
+                continue
+            if f_t <= f_cur + 1e-12 * max(1.0, abs(f_cur)):
+                w, f_cur = w_t, f_t
+                stepped = True
+                break
+            t *= 0.5
+        if not stepped:
+            break
+    W_polished = assemble(w)
+    try:
+        if kkt_residual(S, W_polished, lam, penalize_diagonal=bool(pen[0, 0])) <= kkt_target:
+            return W_polished
+    except ValueError:
+        pass
+    return None
 
 
 _DOT_ID = re.compile(r'^"(?:[^"\\]|\\.)*"$')

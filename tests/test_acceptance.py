@@ -29,8 +29,6 @@ from iggl import (
     loss_value,
     make_loss,
     make_precision,
-    oracle_ggl_2x2,
-    oracle_ggl_dense,
     poisson_preprocess,
     robust_scale,
     sample_gaussian,
@@ -39,7 +37,7 @@ from iggl import (
 )
 from iggl.cli import main
 
-from helpers import check_dot_grammar, loss_map_for, rand_spd, synth_data
+from helpers import check_dot_grammar, loss_map_for, oracle_ggl_2x2, oracle_ggl_dense, rand_spd, synth_data
 
 ALL_KINDS = (
     "quadratic",

@@ -202,6 +202,22 @@ class TestFit:
         with open(out) as fh:
             assert json.load(fh)["converged"] is False
 
+    def test_capped_final_solve_exit_code(self, tmp_path):
+        sim = simulate(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        write(cfg, json.dumps({"losses": "quadratic", "lambda": 0.1, "inner_max_iter": 1}))
+        out = tmp_path / "r.json"
+        rc = main(["fit", "--data", str(sim / "Y.csv"), "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        with open(out) as fh:
+            doc = json.load(fh)
+        # the outer loop met outer_tol; the full-tolerance final solve did not
+        assert doc["outer_iterations"] < 200
+        assert len(doc["inner_tols"]) == len(doc["inner_kkt"]) == doc["outer_iterations"]
+        assert doc["inner_tols"][-1] == 1e-7
+        assert doc["inner_kkt"][-1] == doc["kkt_residual"] > 1e-7
+        assert doc["converged"] is False
+
     def test_unknown_loss_rejected_at_parse(self, tmp_path, capsys):
         sim = simulate(tmp_path)
         cfg = tmp_path / "cfg.json"

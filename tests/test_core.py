@@ -11,8 +11,10 @@ from iggl import (
     estimate_intercepts,
     first_iteration_s,
     fit,
+    kkt_residual,
     lambda_grid,
     log_det_pd,
+    loss_value,
     make_loss,
     outer_objective,
     poisson_preprocess,
@@ -21,9 +23,10 @@ from iggl import (
     theta_update,
     xi_update,
 )
+import iggl.core
 from iggl.core import spectral_norm
 
-from helpers import loss_map_for, synth_data
+from helpers import ALL_KINDS, loss_map_for, synth_data
 
 
 def quad_map(m):
@@ -206,6 +209,27 @@ class TestIntercepts:
         with pytest.warns(UserWarning, match="clipped"):
             alpha = estimate_intercepts(Y, losses)
         assert abs(alpha[0]) <= 20.0 + 1e-6
+
+    def test_kernel_search_matches_loss_value_search(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return loss_value(*args)
+
+        for seed, kind in enumerate(ALL_KINDS):
+            Y = synth_data(kind, 3, 60, seed=30 + seed)
+            losses = loss_map_for(kind, Y)
+            with monkeypatch.context() as mp:
+                mp.setattr(iggl.core, "loss_value", counted)
+                alpha = estimate_intercepts(Y, losses)
+            with monkeypatch.context() as mp:
+                # the same golden-section search, each step through loss_value
+                mp.setattr(iggl.core, "kernel_value", loss_value)
+                ref = estimate_intercepts(Y, losses)
+            assert np.array_equal(alpha, ref), kind
+        # the domain is checked once per fit, not once per search step
+        assert calls == []
 
     def test_count_column_uses_log_total(self):
         Y = np.column_stack([np.array([1.0, 2.0, 3.0]), np.ones(3)])
@@ -456,3 +480,48 @@ class TestFirstIterationS:
         a = first_iteration_s(FitProblem(Y=Y, losses=losses, lam=0.0))
         b = first_iteration_s(FitProblem(Y=Y, losses=losses, lam=5.0))
         assert np.array_equal(a, b)
+
+
+class TestInexactInnerSolves:
+    def _bernoulli_chain(self):
+        Y = synth_data("bernoulli", 8, 300, seed=21)
+        prob = FitProblem(Y=Y, losses=loss_map_for("bernoulli", Y), lam=0.0)
+        lam_max = float(lambda_grid(first_iteration_s(prob), n_points=1)[0])
+        return FitProblem(Y=Y, losses=prob.losses, lam=0.3 * lam_max)
+
+    def test_bernoulli_chain_solves_loosely_then_polishes(self):
+        prob = self._bernoulli_chain()
+        res = fit(prob)
+        st = res.state
+        assert max(st.inner_tols) > prob.inner_tol
+        assert st.inner_tols[:2] == [prob.inner_tol, prob.inner_tol]
+        assert st.inner_tols[-1] == prob.inner_tol
+        assert len(st.F_trace) == len(st.inner_iterations) == len(st.inner_tols) == len(st.inner_kkt) == st.k
+        F = np.asarray(st.F_trace)
+        assert np.all(np.diff(F) <= 1e-10 * (1.0 + np.abs(F[:-1])))
+        # the returned W solves the inner problem on S rebuilt from the final Xi
+        E = st.Xi - res.M
+        S = E.T @ E / E.shape[0]
+        S = 0.5 * (S + S.T)
+        assert kkt_residual(S, res.estimate.W, res.lam) <= prob.inner_tol
+        assert st.inner_kkt[-1] == res.estimate.kkt_residual
+        assert np.array_equal(st.W, res.estimate.W)
+        assert np.array_equal(st.Theta, theta_update(st.Xi, res.M, st.W, res.phi))
+
+    def test_all_quadratic_solves_at_full_tolerance(self):
+        Y = synth_data("quadratic", 6, 80, seed=5)
+        prob = FitProblem(Y=Y, losses=quad_map(6), lam=0.1)
+        res = fit(prob)
+        assert res.converged
+        assert res.state.inner_tols == [prob.inner_tol] * res.state.k
+        assert max(res.state.inner_kkt) <= prob.inner_tol
+
+    def test_capped_polish_is_not_converged(self):
+        Y = synth_data("quadratic", 6, 100, seed=5)
+        prob = FitProblem(Y=Y, losses=quad_map(6), lam=0.1, inner_max_iter=1)
+        res = fit(prob)
+        # the outer trace met outer_tol, but the final solve stopped at its cap
+        assert res.state.k < prob.max_outer
+        assert res.state.inner_tols[-1] == prob.inner_tol
+        assert res.state.inner_kkt[-1] > prob.inner_tol
+        assert not res.converged

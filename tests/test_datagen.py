@@ -5,14 +5,12 @@ from iggl import (
     GGLInstance,
     GraphPattern,
     make_precision,
-    oracle_ggl_2x2,
-    oracle_ggl_dense,
     sample_gaussian,
     sample_glm,
     solve_ggl,
 )
 
-from helpers import rand_spd
+from helpers import oracle_ggl_2x2, oracle_ggl_dense, rand_spd
 
 
 class TestMakePrecision:

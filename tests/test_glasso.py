@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from iggl import GGLInstance, ggl_objective, kkt_residual, log_det_pd, solve_ggl
-from iggl.datagen import oracle_ggl_2x2, oracle_ggl_dense
 
-from helpers import rand_spd
+from helpers import oracle_ggl_2x2, oracle_ggl_dense, rand_spd
 
 
 class TestLogDet:
