@@ -197,11 +197,13 @@ def _golden_section(fun, lo, hi, tol=1e-10):
 def estimate_intercepts(Y, losses) -> np.ndarray:
     """Per-column intercepts minimizing the column loss at a constant fit.
 
-    Quadratic columns return the mean and count columns the log of the
-    column total; every other column is minimized by golden section to an
-    absolute tolerance of 1e-10.  Margin/deviance columns whose minimizer
-    runs away (separable labels) are clipped to +/- 20 * max(scale, 1) with
-    a warning.  Like :func:`batch_value`, the search assumes every
+    Quadratic columns return the mean, count columns the log of the column
+    total, and Bernoulli columns the logit of the label mean,
+    ``log(ybar) - log1p(-ybar)``, the deviance's exact minimizer; every other
+    column is minimized by golden section to an absolute tolerance of 1e-10.
+    Margin/deviance columns whose minimizer runs away (separable labels, or
+    a Bernoulli column of one label) are clipped to +/- 20 * max(scale, 1)
+    with a warning.  Like :func:`batch_value`, the search assumes every
     non-count column lies in its kind's domain; ``fit`` checks each column
     once before calling it.
     """
@@ -219,6 +221,11 @@ def estimate_intercepts(Y, losses) -> np.ndarray:
             _check_column("poisson_reparam", y, k)
             alpha[k] = float(np.log(np.sum(y)))
             continue
+        if loss.kind == "bernoulli":
+            ybar = float(np.mean(y))
+            if 0.0 < ybar < 1.0:
+                alpha[k] = np.log(ybar) - np.log1p(-ybar)
+                continue
 
         def column_loss(a, y=y, loss=loss):
             return float(np.sum(kernel_value(loss, np.full_like(y, a), y)))
@@ -353,9 +360,8 @@ def _prepare(problem: FitProblem):
         base = alpha if alpha is not None else estimate_intercepts(Y, losses)
         losses = list(calibrate_losses(losses, base, Y))
 
-    if problem.equalize_lipschitz:
-        losses = [force_unit_lipschitz(l) for l in losses]
-    losses = tuple(scale_to_unit_lipschitz(l) for l in losses)
+    unit = force_unit_lipschitz if problem.equalize_lipschitz else scale_to_unit_lipschitz
+    losses = tuple(unit(l) for l in losses)
     bad = [k for k, l in enumerate(losses) if l.lipschitz > 1.0 + 1e-9]
     if bad:
         raise ValueError(f"columns {bad} have gradient-Lipschitz bound above one after scaling")

@@ -16,7 +16,9 @@ Each formula is written once, as a per-kind kernel.  The single-column
 :func:`loss_value` and :func:`loss_grad` check that the column lies in its
 kind's domain (:func:`check_domain`) before calling it.  The whole-matrix
 :func:`batch_value` and :func:`batch_grad` make one kernel call per loss
-kind and assume in-domain data: ``fit`` checks each column once.
+kind and assume in-domain data: ``fit`` checks each column once.  Kernels
+that work in place write only into arrays they allocate themselves, so
+read-only or shared inputs are never modified.
 
 All operations here are pure functions of their arguments; ``ColumnLoss``
 values are safe to share across threads.
@@ -199,6 +201,31 @@ def _lorenz_grad(theta, y):
     return y * np.where(u <= 0.0, 2.0 * u / (1.0 + u * u), 0.0)
 
 
+def _bernoulli_value(theta, y):
+    # (max(theta, 0) - y theta) + log1p(exp(-|theta|)): the first term is
+    # exact for 0/1 labels, so nothing cancels when the deviance is small
+    shape = np.broadcast_shapes(np.shape(theta), np.shape(y))
+    lin = np.maximum(theta, 0.0, out=np.empty(shape))
+    out = np.multiply(y, theta, out=np.empty(shape))
+    lin -= out
+    np.abs(theta, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out += lin
+    return out
+
+
+def _bernoulli_grad(theta, y):
+    # 0.5 (1 + tanh(theta / 2)) - y, the sigmoid in an overflow-safe form
+    out = np.multiply(theta, 0.5, out=np.empty(np.broadcast_shapes(np.shape(theta), np.shape(y))))
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    out -= y
+    return out
+
+
 # The count loss couples the entries of a column: its kernels take (n, p)
 # blocks and reduce over contiguous rows of the transposed block, which sums
 # each column in the same order as a reduction over that column alone.
@@ -216,12 +243,10 @@ def _poisson_grad(theta, y, count_total):
     return count_total * (e / np.sum(e, axis=1, keepdims=True)).T - y
 
 
-# kind -> (value kernel, gradient kernel, parameter names); the tanh form of
-# the sigmoid is overflow-safe on both tails
+# kind -> (value kernel, gradient kernel, parameter names)
 _KERNELS = {
     "quadratic": (lambda theta, y: 0.5 * (theta - y) ** 2, lambda theta, y: theta - y, ()),
-    "bernoulli": (lambda theta, y: np.logaddexp(0.0, theta) - y * theta,
-                  lambda theta, y: 0.5 * (1.0 + np.tanh(0.5 * theta)) - y, ()),
+    "bernoulli": (_bernoulli_value, _bernoulli_grad, ()),
     "huber": (_huber_value, _huber_grad, ("c",)),
     "tukey": (_tukey_value, _tukey_grad, ("c",)),
     "hampel": (_hampel_value, _hampel_grad, ("a", "b", "c")),
@@ -321,9 +346,7 @@ def scale_to_unit_lipschitz(loss: ColumnLoss) -> ColumnLoss:
     returned unchanged (keeping their native units costs some convergence
     speed but preserves reported loss values).  Idempotent.
     """
-    if loss.lipschitz > 1.0:
-        return replace(loss, scale_factor=loss.scale_factor / loss.lipschitz, lipschitz=1.0)
-    return loss
+    return _divide_by_bound(loss) if loss.lipschitz > 1.0 else loss
 
 
 def force_unit_lipschitz(loss: ColumnLoss) -> ColumnLoss:
@@ -333,9 +356,11 @@ def force_unit_lipschitz(loss: ColumnLoss) -> ColumnLoss:
     (e.g. the Bernoulli deviance at 1/4) are multiplied up for faster
     convergence, at the price of changing the units of reported objectives.
     """
-    if loss.lipschitz != 1.0:
-        return replace(loss, scale_factor=loss.scale_factor / loss.lipschitz, lipschitz=1.0)
-    return loss
+    return _divide_by_bound(loss) if loss.lipschitz != 1.0 else loss
+
+
+def _divide_by_bound(loss):
+    return replace(loss, scale_factor=loss.scale_factor / loss.lipschitz, lipschitz=1.0)
 
 
 def robust_scale(residuals) -> float:

@@ -25,6 +25,7 @@ from iggl import (
 )
 import iggl.core
 from iggl.core import spectral_norm
+from iggl.losses import kernel_value
 
 from helpers import ALL_KINDS, loss_map_for, synth_data
 
@@ -193,8 +194,19 @@ class TestIntercepts:
         Y = np.column_stack([np.array([0.0, 1.0, 0.0, 1.0]), np.array([1.0, 1.0, 0.0, 0.0])])
         losses = (make_loss("bernoulli"), make_loss("bernoulli"))
         alpha = estimate_intercepts(Y, losses)
-        # value-comparison search bottoms out near sqrt(eps) in x
-        assert np.allclose(alpha, 0.0, atol=1e-6)
+        assert np.array_equal(alpha, [0.0, 0.0])
+
+    def test_bernoulli_logit_of_mean(self):
+        Y = synth_data("bernoulli", 4, 300, seed=5)
+        losses = tuple(make_loss("bernoulli") for _ in range(4))
+        alpha = estimate_intercepts(Y, losses)
+        ybar = np.mean(Y, axis=0)
+        assert np.array_equal(alpha, np.log(ybar) - np.log1p(-ybar))
+        for k, loss in enumerate(losses):
+            y = Y[:, k]
+            searched = iggl.core._golden_section(
+                lambda a: float(np.sum(kernel_value(loss, np.full_like(y, a), y))), -20.0, 20.0)
+            assert abs(alpha[k] - searched) <= 1e-7
 
     def test_huber_center_of_symmetry(self):
         y = np.array([-2.0, -1.0, 1.0, 2.0]) + 3.5
@@ -208,7 +220,8 @@ class TestIntercepts:
         losses = (make_loss("bernoulli"), make_loss("bernoulli"))
         with pytest.warns(UserWarning, match="clipped"):
             alpha = estimate_intercepts(Y, losses)
-        assert abs(alpha[0]) <= 20.0 + 1e-6
+        assert alpha[0] == pytest.approx(20.0, abs=1e-6)
+        assert alpha[1] == pytest.approx(-20.0, abs=1e-6)
 
     def test_kernel_search_matches_loss_value_search(self, monkeypatch):
         calls = []

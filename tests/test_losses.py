@@ -13,7 +13,7 @@ from iggl import (
     robust_scale,
     scale_to_unit_lipschitz,
 )
-from iggl.losses import force_unit_lipschitz
+from iggl.losses import force_unit_lipschitz, kernel_value
 
 from helpers import ALL_KINDS
 
@@ -272,6 +272,68 @@ class TestBatchParity:
         group = tuple(losses[k] for k in cols)
         stack = np.column_stack([loss_grad(losses[k], Theta[:, k], Y[:, k]) for k in cols])
         assert np.array_equal(batch_grad(group, Theta[:, cols], Y[:, cols]), stack)
+
+
+def _bernoulli_block():
+    """The entries of a random 2000 x 40 block, then +/-1e-300, 1, 40 and 800 with each label."""
+    rng = np.random.default_rng(11)
+    edges = np.array([1e-300, 1.0, 40.0, 800.0])
+    edges = np.concatenate([edges, -edges])
+    theta = np.concatenate([5.0 * rng.standard_normal(2000 * 40), edges, edges])
+    y = np.concatenate([rng.integers(0, 2, 2000 * 40).astype(float), np.zeros(8), np.ones(8)])
+    return theta, y
+
+
+class TestBernoulliKernels:
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="longdouble is plain double")
+    def test_value_matches_long_double_reference(self):
+        theta, y = _bernoulli_block()
+        t, yl = theta.astype(np.longdouble), y.astype(np.longdouble)
+        ref = (np.maximum(t, 0) - yl * t) + np.log1p(np.exp(-np.abs(t)))
+        value = loss_value(make_loss("bernoulli"), theta, y)
+        big = np.abs(ref) > 1e-250
+        assert np.all(np.abs(value[big] - ref[big]) <= 4.5e-16 * np.abs(ref[big]))
+
+    def test_no_overflow_or_invalid(self):
+        theta, y = _bernoulli_block()
+        loss = make_loss("bernoulli")
+        with np.errstate(over="raise", invalid="raise"):
+            loss_value(loss, theta, y)
+            loss_grad(loss, theta, y)
+            batch_value((loss,), theta[:, None], y[:, None])
+
+    def test_gradient_is_the_tanh_form(self):
+        theta, y = _bernoulli_block()
+        loss = make_loss("bernoulli")
+        expect = 0.5 * (1.0 + np.tanh(0.5 * theta)) - y
+        assert np.array_equal(loss_grad(loss, theta, y), expect)
+        assert np.array_equal(batch_grad((loss,), theta[:, None], y[:, None])[:, 0], expect)
+
+    def test_scalars_give_python_floats(self):
+        loss = make_loss("bernoulli", scale_factor=2.0)
+        assert type(loss_value(loss, 0.3, 1.0)) is float
+        assert type(loss_grad(loss, 0.3, 1.0)) is float
+
+
+class TestReadOnlyInputs:
+    def test_kernels_leave_read_only_inputs_unchanged(self):
+        losses, Theta, Y = _all_kinds_instance()
+        blocks = [(losses, Theta, Y)]
+        for kind in ALL_KINDS:
+            cols = [k for k, loss in enumerate(losses) if loss.kind == kind]
+            blocks.append((tuple(losses[k] for k in cols), Theta[:, cols].copy(), Y[:, cols].copy()))
+        for group, T, Yb in blocks:
+            T0, Y0 = T.copy(), Yb.copy()
+            T.flags.writeable = False
+            Yb.flags.writeable = False
+            batch_value(group, T, Yb)
+            batch_grad(group, T, Yb)
+            for k, loss in enumerate(group):
+                loss_value(loss, T[:, k], Yb[:, k])
+                loss_grad(loss, T[:, k], Yb[:, k])
+                if loss.kind != "poisson_reparam":
+                    kernel_value(loss, T[:, k], Yb[:, k])
+            assert np.array_equal(T, T0) and np.array_equal(Yb, Y0)
 
 
 class TestPoissonColumnLoss:
