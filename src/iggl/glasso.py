@@ -66,18 +66,20 @@ def log_det_pd(W) -> float:
     return float(2.0 * np.sum(np.log(np.diag(L))))
 
 
-def _l1_penalized(W, penalize_diagonal):
-    total = np.sum(np.abs(W))
-    if penalize_diagonal:
-        return total
-    return total - np.sum(np.abs(np.diag(W)))
+def _penalty_weights(m, lam, penalize_diagonal):
+    """Per-entry l1 weight: lam off the diagonal, and on it only when penalized."""
+    lamP = np.full((m, m), float(lam))
+    if not penalize_diagonal:
+        np.fill_diagonal(lamP, 0.0)
+    return lamP
 
 
 def ggl_objective(S, W, lam, penalize_diagonal=False) -> float:
     """Tr(S W) - log det W + lam * l1(W) with the configured penalty span."""
     S = np.asarray(S, dtype=float)
     W = np.asarray(W, dtype=float)
-    return float(np.sum(S * W) - log_det_pd(W) + lam * _l1_penalized(W, penalize_diagonal))
+    lamP = _penalty_weights(W.shape[0], lam, penalize_diagonal)
+    return float(np.sum(S * W) - log_det_pd(W) + np.vdot(lamP, np.abs(W)))
 
 
 def kkt_residual(S, W, lam, penalize_diagonal=False) -> float:
@@ -92,24 +94,19 @@ def kkt_residual(S, W, lam, penalize_diagonal=False) -> float:
     log_det_pd(W)  # certify positive definiteness; plain inv would not
     Winv = np.linalg.inv(W)
     R = S - 0.5 * (Winv + Winv.T)
-    return _kkt_from_residual(R, W, lam, penalize_diagonal)
+    return _kkt_from_residual(R, W, _penalty_weights(W.shape[0], lam, penalize_diagonal))
 
 
-def _kkt_from_residual(R, W, lam, penalize_diagonal):
-    pen = np.ones(W.shape, dtype=bool)
-    if not penalize_diagonal:
-        np.fill_diagonal(pen, False)
-    at_zero = np.maximum(0.0, np.abs(R) - lam)
-    off_zero = np.abs(R + lam * np.sign(W))
-    res = np.where(pen, np.where(W != 0.0, off_zero, at_zero), np.abs(R))
+def _kkt_from_residual(R, W, lamP):
+    """The three cases in one expression: max |R + lamP sign W| - lamP [W = 0].
+
+    A zero penalized entry may come out negative instead of clipped at 0,
+    but the diagonal of a positive definite W is nonzero, so the max is the
+    same.
+    """
+    res = np.abs(R + lamP * np.sign(W))
+    res -= lamP * (W == 0.0)
     return float(res.max())
-
-
-def _soft_threshold(T, thresh, penalize_diagonal):
-    out = np.sign(T) * np.maximum(np.abs(T) - thresh, 0.0)
-    if not penalize_diagonal:
-        np.fill_diagonal(out, np.diag(T))
-    return out
 
 
 def _check_instance(inst):
@@ -153,7 +150,8 @@ def solve_ggl(inst: GGLInstance, W_init=None) -> PrecisionEstimate:
         kkt = kkt_residual(S, W, 0.0, pen)
         return PrecisionEstimate(W, obj, kkt, 0, True, np.array([obj]))
 
-    diag_target = np.diag(S) + (lam if pen else 0.0)
+    lamP = _penalty_weights(m, lam, pen)
+    diag_target = np.diag(S) + np.diag(lamP)
     if np.any(diag_target <= 0):
         raise ValueError("S has a nonpositive diagonal entry; objective is unbounded")
 
@@ -166,13 +164,12 @@ def solve_ggl(inst: GGLInstance, W_init=None) -> PrecisionEstimate:
         if np.max(np.abs(W - W.T)) > 1e-8 * max(1.0, np.max(np.abs(W))):
             raise ValueError("W_init must be symmetric")
         W = 0.5 * (W + W.T)
-        try:
-            np.linalg.cholesky(W)
-        except np.linalg.LinAlgError:
-            raise ValueError("W_init must be positive definite") from None
+    try:
+        L = np.linalg.cholesky(W)
+    except np.linalg.LinAlgError:
+        raise ValueError("W_init must be positive definite") from None
 
-    logdet = log_det_pd(W)
-    f_smooth = float(np.sum(S * W)) - logdet
+    f_smooth = float(np.sum(S * W)) - 2.0 * float(np.sum(np.log(np.diag(L))))
     eta = None
     prev_W = None
     prev_grad = None
@@ -185,8 +182,8 @@ def solve_ggl(inst: GGLInstance, W_init=None) -> PrecisionEstimate:
         Winv = np.linalg.inv(W)
         Winv = 0.5 * (Winv + Winv.T)
         grad = S - Winv
-        kkt = _kkt_from_residual(grad, W, lam, pen)
-        obj = f_smooth + lam * _l1_penalized(W, pen)
+        kkt = _kkt_from_residual(grad, W, lamP)
+        obj = f_smooth + float(np.vdot(lamP, np.abs(W)))
         trace.append(obj)
         if kkt <= inst.tol:
             converged = True
@@ -210,8 +207,9 @@ def solve_ggl(inst: GGLInstance, W_init=None) -> PrecisionEstimate:
         accepted = False
         for _ in range(100):
             T = W - eta * grad
-            Wt = _soft_threshold(T, eta * lam, pen)
-            Wt = 0.5 * (Wt + Wt.T)
+            # soft-threshold; T and lamP are symmetric, so Wt is exactly symmetric
+            thresh = eta * lamP
+            Wt = T - np.clip(T, -thresh, thresh)
             try:
                 Lt = np.linalg.cholesky(Wt)
             except np.linalg.LinAlgError:
