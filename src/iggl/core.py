@@ -30,8 +30,9 @@ solve whose residual is above ``inner_tol`` is polished: re-solved at
 and that the returned W meets ``inner_tol`` on the returned S.
 
 phi is a small positive constant fixed for the whole run at
-``phi_c / ||W0||_2``; it keeps ``I - phi*W`` positive semi-definite, which
-every iterate is checked against.
+``phi_c / ||W0||_2``.  Every iterate must keep ``I - phi*W`` positive
+semi-definite; :func:`theta_update` checks this exactly, by a Cholesky
+factorization of ``(1 + 1e-12)/phi * I - W``.
 """
 
 from __future__ import annotations
@@ -146,15 +147,18 @@ def xi_update(Theta, Y, losses) -> np.ndarray:
 def theta_update(Xi, M, W, phi) -> np.ndarray:
     """Blend the mean into the gradient-step image: M W phi + Xi (I - phi W).
 
-    Requires phi * ||W||_2 <= 1 (so the implicit shift decomposition stays
-    valid); violation raises.  No matrix square roots are formed.
+    Requires I - phi W >= 0 (so the implicit shift decomposition stays
+    valid), checked exactly by a Cholesky factorization of
+    (1 + 1e-12)/phi I - W; violation raises.  For a positive definite W this
+    is phi * ||W||_2 <= 1.  No matrix square roots are formed.
     """
     Xi = np.asarray(Xi, dtype=float)
     M = np.asarray(M, dtype=float)
     W = np.asarray(W, dtype=float)
-    # cheap Frobenius bound first, exact spectral norm only when needed
-    if phi * np.linalg.norm(W) > 1.0 and phi * spectral_norm(W) > 1.0 + 1e-12:
-        raise ValueError("feasibility violated: phi * ||W||_2 > 1")
+    try:
+        np.linalg.cholesky(((1.0 + 1e-12) / phi) * np.eye(W.shape[0]) - W)
+    except np.linalg.LinAlgError:
+        raise ValueError("feasibility violated: phi * ||W||_2 > 1") from None
     return Xi + phi * ((M - Xi) @ W)
 
 
@@ -422,12 +426,13 @@ def fit(problem: FitProblem, W_init=None) -> FitResult:
         """Inner solve on S from W to KKT residual ``tol``, then Theta and F."""
         inst = GGLInstance(S, lam, problem.penalize_diagonal, tol, problem.inner_max_iter)
         est = solve_ggl(inst, W_init=W)
-        if phi * spectral_norm(est.W) > 1.0 + 1e-12:
+        try:
+            Theta = theta_update(Xi, M, est.W, phi)
+        except ValueError:
             raise RuntimeError(
                 "inner solver returned W with phi * ||W||_2 > 1; feasibility of "
                 "the shift decomposition is violated (phi stays at its initial value)"
-            )
-        Theta = theta_update(Xi, M, est.W, phi)
+            ) from None
         F = outer_objective(S, Theta, est.W, phi, lam, Y, losses, problem.penalize_diagonal)
         return est, Theta, F
 

@@ -6,12 +6,18 @@ Solves the convex problem
 
 over positive definite matrices, where the l1 norm runs over the
 off-diagonal entries by default (``penalize_diagonal=True`` includes the
-diagonal).  The solver is a proximal-gradient descent: a gradient step on
-the smooth part ``S - W^{-1}`` followed by entrywise soft-thresholding,
-with a Barzilai-Borwein step size safeguarded by step-halving until the
-trial iterate is positive definite and satisfies the standard sufficient
-decrease condition.  This keeps the objective monotone, keeps every
-iterate strictly positive definite, and produces exact zeros.
+diagonal).  The solver is a proximal-gradient descent (G-ISTA): a
+gradient step on the smooth part ``S - W^{-1}`` followed by entrywise
+soft-thresholding.  Both, and the l1 term and the KKT residual, use one
+per-entry penalty weight built once per solve: lambda off the diagonal,
+and on it only when the diagonal is penalized.  The step size alternates
+the long and the short Barzilai-Borwein steps, ``<dW,dW>/<dW,dG>`` and
+``<dW,dG>/<dG,dG>``, by iteration parity; the short one is accepted more
+often, the long one makes more progress.  It is halved until the trial
+iterate is positive definite (one Cholesky factorization per trial) and
+satisfies the standard sufficient decrease condition.  This keeps the
+objective monotone, keeps every iterate strictly positive definite, and
+produces exact zeros.
 
 Optimality is certified by :func:`kkt_residual`, the max-norm of the
 minimal-norm subgradient of the objective, so any conforming backend can
@@ -169,45 +175,35 @@ def solve_ggl(inst: GGLInstance, W_init=None) -> PrecisionEstimate:
     except np.linalg.LinAlgError:
         raise ValueError("W_init must be positive definite") from None
 
-    f_smooth = float(np.sum(S * W)) - 2.0 * float(np.sum(np.log(np.diag(L))))
-    eta = None
-    prev_W = None
-    prev_grad = None
+    f_smooth = float(np.vdot(S, W)) - 2.0 * float(np.sum(np.log(np.diag(L))))
     trace = []
-    kkt = np.inf
-    converged = False
-    iterations = 0
-
     for it in range(inst.max_iter + 1):
         Winv = np.linalg.inv(W)
-        Winv = 0.5 * (Winv + Winv.T)
-        grad = S - Winv
+        grad = S - 0.5 * (Winv + Winv.T)
         kkt = _kkt_from_residual(grad, W, lamP)
-        obj = f_smooth + float(np.vdot(lamP, np.abs(W)))
-        trace.append(obj)
-        if kkt <= inst.tol:
-            converged = True
-            iterations = it
-            break
-        if it == inst.max_iter:
-            iterations = it
+        trace.append(f_smooth + float(np.vdot(lamP, np.abs(W))))
+        converged = kkt <= inst.tol
+        if converged or it == inst.max_iter:
             break
 
-        if prev_W is None:
+        if it == 0:
             # safe initial step: inverse curvature bound of -log det at W
             lmin = float(np.linalg.eigvalsh(W)[0])
             eta = lmin * lmin
         else:
             dW = W - prev_W
             dG = grad - prev_grad
-            denom = float(np.sum(dW * dG))
-            eta = float(np.sum(dW * dW)) / denom if denom > 0 else eta * 2.0
+            denom = float(np.vdot(dW, dG))
+            if denom <= 0:
+                eta *= 2.0
+            else:
+                # Barzilai-Borwein steps, long and short in turn
+                eta = float(np.vdot(dW, dW)) / denom if it % 2 else denom / float(np.vdot(dG, dG))
         eta = min(max(eta, 1e-14), 1e12)
 
-        accepted = False
         for _ in range(100):
-            T = W - eta * grad
             # soft-threshold; T and lamP are symmetric, so Wt is exactly symmetric
+            T = W - eta * grad
             thresh = eta * lamP
             Wt = T - np.clip(T, -thresh, thresh)
             try:
@@ -215,19 +211,16 @@ def solve_ggl(inst: GGLInstance, W_init=None) -> PrecisionEstimate:
             except np.linalg.LinAlgError:
                 eta *= 0.5
                 continue
-            logdet_t = float(2.0 * np.sum(np.log(np.diag(Lt))))
-            f_t = float(np.sum(S * Wt)) - logdet_t
+            f_t = float(np.vdot(S, Wt)) - 2.0 * float(np.sum(np.log(np.diag(Lt))))
             D = Wt - W
-            bound = f_smooth + float(np.sum(grad * D)) + float(np.sum(D * D)) / (2.0 * eta)
+            bound = f_smooth + float(np.vdot(grad, D)) + float(np.vdot(D, D)) / (2.0 * eta)
             if f_t <= bound + _DECREASE_SLACK * max(1.0, abs(f_smooth)):
-                accepted = True
                 break
             eta *= 0.5
-        if not accepted:
+        else:
             raise RuntimeError("no positive definite descent step found after step-halving")
 
         prev_W, prev_grad = W, grad
         W, f_smooth = Wt, f_t
 
-    obj = trace[-1]
-    return PrecisionEstimate(W, float(obj), float(kkt), iterations, converged, np.asarray(trace))
+    return PrecisionEstimate(W, trace[-1], kkt, it, converged, np.asarray(trace))

@@ -70,6 +70,38 @@ def synth_data(kind, m, n, seed, mu=0.0):
 # inner-solver oracles, deliberately independent of the production solver
 # so they can certify it
 
+def kkt_three_case(R, W, lam, penalize_diagonal=False) -> float:
+    """KKT residual from the gradient R, written out case by case.
+
+    Nonzero penalized entries give |R + lam*sign(W)|, zero penalized entries
+    max(0, |R| - lam), unpenalized entries |R|.
+    """
+    pen = np.ones(W.shape, dtype=bool)
+    if not penalize_diagonal:
+        np.fill_diagonal(pen, False)
+    at_zero = np.maximum(0.0, np.abs(R) - lam)
+    off_zero = np.abs(R + lam * np.sign(W))
+    return float(np.where(pen, np.where(W != 0.0, off_zero, at_zero), np.abs(R)).max())
+
+
+def soft_threshold_fill(T, thresh, penalize_diagonal=False) -> np.ndarray:
+    """sign(T) * max(|T| - thresh, 0), with T's own diagonal when it is unpenalized."""
+    out = np.sign(T) * np.maximum(np.abs(T) - thresh, 0.0)
+    if not penalize_diagonal:
+        np.fill_diagonal(out, np.diag(T))
+    return out
+
+
+def spd_with_zeros(m, rng, keep=0.4):
+    """Random SPD matrix whose off-diagonal entries are exactly zero outside a
+    random symmetric pattern (about ``keep`` of them nonzero)."""
+    A = rng.standard_normal((m, m))
+    mask = np.triu(rng.random((m, m)) < keep, 1)
+    W = np.where(mask | mask.T, 0.5 * (A + A.T), 0.0)
+    np.fill_diagonal(W, np.abs(W).sum(axis=1) + 0.5 + rng.random(m))
+    return W
+
+
 def oracle_ggl_2x2(S, lam, penalize_diagonal=False) -> np.ndarray:
     """Closed-form 2x2 solution: soft-threshold the off-diagonal covariance.
 

@@ -111,6 +111,22 @@ class TestThetaUpdate:
         with pytest.raises(ValueError):
             theta_update(np.zeros((3, 2)), np.ones((3, 2)), 2.0 * np.eye(2), 0.9)
 
+    def test_feasibility_check_is_exact(self):
+        # I - phi W >= 0, not a norm bound: this W has Frobenius norm 4.8 but
+        # spectral norm 1, so phi = 1 is feasible and phi = 1 + 1e-9 is not
+        Xi, M = np.zeros((3, 40)), np.ones((3, 40))
+        W = np.diag(np.linspace(0.5, 1.0, 40))
+        theta_update(Xi, M, W, 1.0)
+        with pytest.raises(ValueError, match="feasibility"):
+            theta_update(Xi, M, W, 1.0 + 1e-9)
+        rng = np.random.default_rng(6)
+        Q, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+        W = (Q * np.linspace(0.1, 2.0, 40)) @ Q.T
+        W = 0.5 * (W + W.T)
+        theta_update(Xi, M, W, 0.5 * (1.0 - 1e-9))
+        with pytest.raises(ValueError, match="feasibility"):
+            theta_update(Xi, M, W, 0.5 * (1.0 + 1e-9))
+
 
 class TestOuterObjective:
     def test_vanishing_trace_terms(self):
@@ -384,6 +400,16 @@ class TestFit:
         Y = synth_data("bernoulli", 4, 60, seed=7)
         res = fit(FitProblem(Y=Y, losses=loss_map_for("bernoulli", Y), lam=0.05, max_outer=30))
         assert res.phi * spectral_norm(res.state.W) <= 1.0
+
+    def test_one_spectral_norm_per_cold_fit(self, monkeypatch):
+        # phi takes the only one; every iterate is checked by theta_update
+        calls = []
+        norm = iggl.core.spectral_norm
+        monkeypatch.setattr(iggl.core, "spectral_norm", lambda W: calls.append(1) or norm(W))
+        Y = synth_data("bernoulli", 4, 60, seed=7)
+        res = fit(FitProblem(Y=Y, losses=loss_map_for("bernoulli", Y), lam=0.05, max_outer=30))
+        assert res.state.k > 1
+        assert len(calls) == 1
 
     def test_feasibility_violation_raises(self):
         # nearly collinear unit-variance columns make the unpenalized

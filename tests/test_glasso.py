@@ -1,9 +1,24 @@
 import numpy as np
 import pytest
 
-from iggl import GGLInstance, ggl_objective, kkt_residual, log_det_pd, solve_ggl
+import iggl.core
+from iggl import (
+    FitProblem,
+    GGLInstance,
+    GraphPattern,
+    first_iteration_s,
+    fit_path,
+    ggl_objective,
+    kkt_residual,
+    lambda_grid,
+    log_det_pd,
+    make_loss,
+    make_precision,
+    sample_gaussian,
+    solve_ggl,
+)
 
-from helpers import oracle_ggl_2x2, oracle_ggl_dense, rand_spd
+from helpers import kkt_three_case, oracle_ggl_2x2, oracle_ggl_dense, rand_spd, soft_threshold_fill, spd_with_zeros
 
 
 class TestLogDet:
@@ -66,6 +81,25 @@ class TestKKTResidual:
         with pytest.raises(ValueError):
             kkt_residual(np.eye(2), -np.eye(2), 0.1)
 
+    @pytest.mark.parametrize("pen", [False, True])
+    def test_equals_three_case_form(self, pen):
+        # S near the stationary point of W, so that every case can hold the max
+        rng = np.random.default_rng(31)
+        zero_max = 0
+        for _ in range(40):
+            m = int(rng.integers(2, 9))
+            W = spd_with_zeros(m, rng)
+            lam = float(rng.uniform(0.0, 1.0))
+            E = rng.uniform(0.0, 2.0) * rng.standard_normal((m, m))
+            Winv = np.linalg.inv(W)
+            S = 0.5 * (Winv + Winv.T) - lam * np.sign(W) + 0.5 * (E + E.T)
+            if not pen:
+                np.fill_diagonal(S, np.diag(S) + lam)
+            R = S - 0.5 * (Winv + Winv.T)
+            assert kkt_residual(S, W, lam, pen) == kkt_three_case(R, W, lam, pen)
+            zero_max += np.max(np.where(W == 0.0, np.abs(R) - lam, -np.inf)) == kkt_three_case(R, W, lam, pen)
+        assert zero_max > 0
+
 
 class TestSolve:
     def test_identity(self):
@@ -98,9 +132,75 @@ class TestSolve:
         rng = np.random.default_rng(2)
         for _ in range(5):
             S = rand_spd(5, rng)
-            est = solve_ggl(GGLInstance(S, 0.1))
-            diffs = np.diff(est.objective_trace)
-            assert np.all(diffs <= 1e-10)
+            for pen in (False, True):
+                cold = solve_ggl(GGLInstance(S, 0.1, pen))
+                warm = solve_ggl(GGLInstance(S, 0.05, pen), W_init=cold.W)
+                for est in (cold, warm):
+                    assert est.iterations > 0
+                    assert np.all(np.diff(est.objective_trace) <= 1e-10)
+
+    def test_returns_exactly_symmetric_W(self):
+        rng = np.random.default_rng(33)
+        S = rand_spd(8, rng)
+        for pen in (False, True):
+            cold = solve_ggl(GGLInstance(S, 0.1, pen))
+            # a warm start that is symmetric only to within its tolerance
+            W0 = cold.W + 1e-12 * np.triu(rng.standard_normal((8, 8)))
+            warm = solve_ggl(GGLInstance(S, 0.05, pen), W_init=W0)
+            for est in (cold, warm):
+                assert est.iterations > 0
+                assert np.array_equal(est.W, est.W.T)
+
+    @pytest.mark.parametrize("pen", [False, True])
+    def test_step_is_the_soft_threshold(self, pen):
+        # one step from a W with exact zeros: the first step size lmin(W)^2,
+        # or that halved, applied through the case-by-case soft-threshold
+        rng = np.random.default_rng(32)
+        zeros = 0
+        for _ in range(30):
+            m = int(rng.integers(2, 9))
+            W = spd_with_zeros(m, rng)
+            S = rand_spd(m, rng)
+            lam = float(rng.uniform(0.05, 0.5))
+            est = solve_ggl(GGLInstance(S, lam, pen, tol=0.0, max_iter=1), W_init=W)
+            assert est.iterations == 1
+            Winv = np.linalg.inv(W)
+            grad = S - 0.5 * (Winv + Winv.T)
+            lmin = float(np.linalg.eigvalsh(W)[0])
+            steps = lmin * lmin * 0.5 ** np.arange(6)
+            expect = [soft_threshold_fill(W - eta * grad, eta * lam, pen) for eta in steps]
+            assert any(np.array_equal(est.W, e) for e in expect)
+            zeros += np.count_nonzero(est.W == 0.0)
+        assert zeros > 0
+
+    def test_cholesky_trials_per_iteration(self, monkeypatch):
+        # the alternating long/short step is accepted at its first trial
+        # most of the time; the long step alone needs about two trials
+        m, n = 30, 400
+        Y = sample_gaussian(n, make_precision(GraphPattern("chain", m)), seed=5)
+        prob = FitProblem(Y=Y, losses=tuple(make_loss("quadratic") for _ in range(m)), lam=0.0)
+        grid = lambda_grid(first_iteration_s(prob), n_points=10)
+        counts = {"chol": 0, "iters": 0, "inside": False}
+        cholesky, solve = np.linalg.cholesky, iggl.core.solve_ggl
+
+        def counted_cholesky(a):
+            counts["chol"] += counts["inside"]
+            return cholesky(a)
+
+        def counted_solve(*args, **kwargs):
+            counts["inside"] = True
+            try:
+                est = solve(*args, **kwargs)
+            finally:
+                counts["inside"] = False
+            counts["iters"] += est.iterations
+            return est
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+        monkeypatch.setattr(iggl.core, "solve_ggl", counted_solve)
+        fit_path(prob, grid)
+        assert counts["iters"] > 0
+        assert counts["chol"] / counts["iters"] <= 1.7
 
     def test_warm_start_already_optimal(self):
         S = np.array([[1.0, 0.5], [0.5, 1.0]])
