@@ -68,22 +68,30 @@ def read_csv_matrix(path):
                 continue
             if len(row) != len(names):
                 raise InputError(f"{path}: line {lineno}: expected {len(names)} fields, got {len(row)}")
-            vals = []
-            for cell, name in zip(row, names):
-                cell = cell.strip()
-                if not cell:
-                    raise InputError(f"{path}: line {lineno}, column {name}: missing value")
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise InputError(f"{path}: line {lineno}, column {name}: not numeric: {cell!r}") from None
-                if not math.isfinite(v):
-                    raise InputError(f"{path}: line {lineno}, column {name}: non-finite value")
-                vals.append(v)
+            try:
+                vals = np.asarray(row, dtype=float)  # float() on each str, as in _bad_cell
+            except ValueError:
+                vals = None
+            if vals is None or not np.all(np.isfinite(vals)):
+                raise _bad_cell(path, lineno, row, names)
             rows.append(vals)
     if not rows:
         raise InputError(f"{path}: no data rows")
-    return names, np.asarray(rows, dtype=float)
+    return names, np.asarray(rows)
+
+
+def _bad_cell(path, lineno, row, names):
+    """The diagnostic of the row's first missing, non-numeric or non-finite cell."""
+    for cell, name in zip(row, names):
+        cell = cell.strip()
+        if not cell:
+            return InputError(f"{path}: line {lineno}, column {name}: missing value")
+        try:
+            v = float(cell)
+        except ValueError:
+            return InputError(f"{path}: line {lineno}, column {name}: not numeric: {cell!r}")
+        if not math.isfinite(v):
+            return InputError(f"{path}: line {lineno}, column {name}: non-finite value")
 
 
 def load_config(path):

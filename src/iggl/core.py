@@ -29,10 +29,10 @@ solve whose residual is above ``inner_tol`` is polished: re-solved at
 ``converged`` therefore means that the objective trace met ``outer_tol``
 and that the returned W meets ``inner_tol`` on the returned S.
 
-phi is a small positive constant fixed for the whole run at
-``phi_c / ||W0||_2``.  Every iterate must keep ``I - phi*W`` positive
-semi-definite; :func:`theta_update` checks this exactly, by a Cholesky
-factorization of ``(1 + 1e-12)/phi * I - W``.
+phi is fixed for the whole run at ``phi_c / ||W0||_2``, the largest entry
+of the diagonal W0.  A warm start and every iterate must keep ``I - phi*W``
+positive semi-definite; :func:`theta_update` checks this exactly, by a
+Cholesky factorization of ``(1 + 1e-12)/phi * I - W``.
 """
 
 from __future__ import annotations
@@ -123,20 +123,15 @@ class FitResult:
 
 
 def spectral_norm(W) -> float:
-    """2-norm of a symmetric matrix: its largest eigenvalue magnitude.
-
-    Exact, so a feasibility check against it cannot pass a W whose norm an
-    iterative estimate would have understated.
-    """
-    eig = np.linalg.eigvalsh(np.asarray(W, dtype=float))
-    return float(max(-eig[0], eig[-1]))
+    """Exact 2-norm of a symmetric matrix: its largest eigenvalue magnitude."""
+    return float(np.max(np.abs(np.linalg.eigvalsh(np.asarray(W, dtype=float)))))
 
 
 def choose_phi(W0, c) -> float:
-    """phi = c / ||W0||_2, guaranteeing phi * ||W0||_2 = c < 1."""
+    """phi = c / ||W0||_2 for the positive diagonal W0, whose 2-norm is its largest entry."""
     if not 0.0 < c < 1.0:
         raise ValueError("c must lie in (0, 1)")
-    return c / spectral_norm(W0)
+    return c / float(np.max(np.diag(W0)))
 
 
 def xi_update(Theta, Y, losses) -> np.ndarray:
@@ -411,15 +406,9 @@ def fit(problem: FitProblem, W_init=None) -> FitResult:
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
 
-    if W_init is not None:
-        W = 0.5 * (np.asarray(W_init, dtype=float) + np.asarray(W_init, dtype=float).T)
-        if phi * spectral_norm(W) > 1.0:
-            raise ValueError("W_init violates feasibility: phi * ||W_init||_2 > 1")
-    else:
-        W = W0
-
+    W = W0 if W_init is None else 0.5 * (np.asarray(W_init, dtype=float) + np.asarray(W_init, dtype=float).T)
     Xi = Y.copy()
-    Theta = Xi + phi * ((M - Xi) @ W)
+    Theta = theta_update(Xi, M, W, phi)  # raises if W_init is not feasible
     state = IterState(Theta=Theta, Xi=Xi, W=W, phi=phi)
 
     def block_step(Xi, S, W, tol):

@@ -84,14 +84,6 @@ def kkt_three_case(R, W, lam, penalize_diagonal=False) -> float:
     return float(np.where(pen, np.where(W != 0.0, off_zero, at_zero), np.abs(R)).max())
 
 
-def soft_threshold_fill(T, thresh, penalize_diagonal=False) -> np.ndarray:
-    """sign(T) * max(|T| - thresh, 0), with T's own diagonal when it is unpenalized."""
-    out = np.sign(T) * np.maximum(np.abs(T) - thresh, 0.0)
-    if not penalize_diagonal:
-        np.fill_diagonal(out, np.diag(T))
-    return out
-
-
 def spd_with_zeros(m, rng, keep=0.4):
     """Random SPD matrix whose off-diagonal entries are exactly zero outside a
     random symmetric pattern (about ``keep`` of them nonzero)."""

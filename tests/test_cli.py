@@ -43,6 +43,20 @@ class TestCsvIngestion:
         with pytest.raises(ValueError, match="non-finite"):
             read_csv_matrix(str(p))
 
+    @pytest.mark.parametrize("text, where", [
+        ("a,b,c\n1.0,2.0,3.0\n\n4.0,5.0,x\n", "line 4, column c: not numeric: 'x'"),
+        ("a,b,c\n1.0,2.0,3.0\n4.0,inf,x\n", "line 3, column b: non-finite value"),
+        ("a,b,c\n1.0,2.0,3.0\n4.0, ,nan\n", "line 3, column b: missing value"),
+        ("a,b\n1.0,x\n1.0\n", "line 2, column b: not numeric: 'x'"),
+    ])
+    def test_first_bad_cell_located(self, tmp_path, text, where):
+        # the first bad cell in reading order, also ahead of a later ragged row
+        p = tmp_path / "bad.csv"
+        write(p, text)
+        with pytest.raises(ValueError) as info:
+            read_csv_matrix(str(p))
+        assert str(info.value) == f"{p}: {where}"
+
     def test_duplicate_header_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
         write(p, "a,a\n1.0,2.0\n")

@@ -401,15 +401,19 @@ class TestFit:
         res = fit(FitProblem(Y=Y, losses=loss_map_for("bernoulli", Y), lam=0.05, max_outer=30))
         assert res.phi * spectral_norm(res.state.W) <= 1.0
 
-    def test_one_spectral_norm_per_cold_fit(self, monkeypatch):
-        # phi takes the only one; every iterate is checked by theta_update
+    def test_no_spectral_norm_in_a_fit(self, monkeypatch):
+        # phi comes from W0's largest entry, and W_init and every iterate are
+        # checked by the Cholesky test of theta_update
         calls = []
         norm = iggl.core.spectral_norm
         monkeypatch.setattr(iggl.core, "spectral_norm", lambda W: calls.append(1) or norm(W))
         Y = synth_data("bernoulli", 4, 60, seed=7)
-        res = fit(FitProblem(Y=Y, losses=loss_map_for("bernoulli", Y), lam=0.05, max_outer=30))
-        assert res.state.k > 1
-        assert len(calls) == 1
+        losses = loss_map_for("bernoulli", Y)
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)
+        cold = fit(FitProblem(Y=Y, losses=losses, lam=0.05, max_outer=30))
+        warm = fit(FitProblem(Y=Y, losses=losses, lam=0.04, max_outer=30), W_init=cold.estimate.W)
+        assert cold.state.k > 1 and warm.state.k > 1
+        assert len(calls) == 0
 
     def test_feasibility_violation_raises(self):
         # nearly collinear unit-variance columns make the unpenalized

@@ -18,7 +18,7 @@ from iggl import (
     solve_ggl,
 )
 
-from helpers import kkt_three_case, oracle_ggl_2x2, oracle_ggl_dense, rand_spd, soft_threshold_fill, spd_with_zeros
+from helpers import kkt_three_case, oracle_ggl_2x2, oracle_ggl_dense, rand_spd, spd_with_zeros
 
 
 class TestLogDet:
@@ -152,11 +152,12 @@ class TestSolve:
                 assert np.array_equal(est.W, est.W.T)
 
     @pytest.mark.parametrize("pen", [False, True])
-    def test_step_is_the_soft_threshold(self, pen):
-        # one step from a W with exact zeros: the first step size lmin(W)^2,
-        # or that halved, applied through the case-by-case soft-threshold
+    def test_newton_step_stays_in_the_orthant(self, pen):
+        # one step from a W with exact zeros: entries outside the free set
+        # stay exactly 0, no entry leaves the orthant of sign(W) (of
+        # -sign(S - W^{-1}) where W = 0), and the objective falls
         rng = np.random.default_rng(32)
-        zeros = 0
+        fixed = entered = 0
         for _ in range(30):
             m = int(rng.integers(2, 9))
             W = spd_with_zeros(m, rng)
@@ -165,17 +166,34 @@ class TestSolve:
             est = solve_ggl(GGLInstance(S, lam, pen, tol=0.0, max_iter=1), W_init=W)
             assert est.iterations == 1
             Winv = np.linalg.inv(W)
-            grad = S - 0.5 * (Winv + Winv.T)
-            lmin = float(np.linalg.eigvalsh(W)[0])
-            steps = lmin * lmin * 0.5 ** np.arange(6)
-            expect = [soft_threshold_fill(W - eta * grad, eta * lam, pen) for eta in steps]
-            assert any(np.array_equal(est.W, e) for e in expect)
-            zeros += np.count_nonzero(est.W == 0.0)
-        assert zeros > 0
+            R = S - 0.5 * (Winv + Winv.T)
+            lamP = np.full((m, m), lam)
+            if not pen:
+                np.fill_diagonal(lamP, 0.0)
+            free = (W != 0.0) | (np.abs(R) > lamP)
+            assert np.all(est.W[~free] == 0.0)
+            assert np.all(est.W * np.where(W != 0.0, np.sign(W), -np.sign(R)) >= 0.0)
+            assert ggl_objective(S, est.W, lam, pen) < ggl_objective(S, W, lam, pen)
+            fixed += np.count_nonzero(~free)
+            entered += np.count_nonzero(est.W[W == 0.0])
+        assert fixed > 0 and entered > 0
+
+    def test_cold_solves_reach_tight_kkt_in_few_iterations(self):
+        # Newton steps converge superlinearly; a first-order method needs
+        # tens to hundreds of iterations at the smaller penalties
+        m, n = 30, 400
+        Y = sample_gaussian(n, make_precision(GraphPattern("chain", m)), seed=5)
+        prob = FitProblem(Y=Y, losses=tuple(make_loss("quadratic") for _ in range(m)), lam=0.0)
+        S = first_iteration_s(prob)
+        lam_max = float(lambda_grid(S, n_points=1)[0])
+        for frac in (0.5, 0.1, 0.02):
+            est = solve_ggl(GGLInstance(S, frac * lam_max, tol=1e-10, max_iter=30))
+            assert est.converged
+            assert est.kkt_residual <= 1e-10
 
     def test_cholesky_trials_per_iteration(self, monkeypatch):
-        # the alternating long/short step is accepted at its first trial
-        # most of the time; the long step alone needs about two trials
+        # the full Newton step is accepted at its first trial most of the
+        # time; a Barzilai-Borwein proximal-gradient step needs 1.5 to 2
         m, n = 30, 400
         Y = sample_gaussian(n, make_precision(GraphPattern("chain", m)), seed=5)
         prob = FitProblem(Y=Y, losses=tuple(make_loss("quadratic") for _ in range(m)), lam=0.0)
