@@ -17,12 +17,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import __version__
-from .core import FitProblem, fit, first_iteration_s
+from .core import FitProblem, _prepare, fit, first_iteration_s
 from .datagen import GENERATOR_ID, GraphPattern, make_precision, sample_gaussian, sample_glm
 from .losses import LOSS_KINDS, check_domain, loss_from_config
 from .select import EDGE_EPS, bregman_sym, degrees_of_freedom, edge_metrics, fit_path, lambda_grid
@@ -94,14 +94,18 @@ def _bad_cell(path, lineno, row, names):
             return InputError(f"{path}: line {lineno}, column {name}: non-finite value")
 
 
-def load_config(path):
+def _read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot open {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from None
+
+
+def load_config(path):
+    cfg = _read_json(path)
     if not isinstance(cfg, dict):
         raise InputError(f"{path}: config must be a JSON object")
     _check_keys(cfg, path)
@@ -233,9 +237,7 @@ def build_problem(cfg, Y, losses):
 def _lambda_plan(cfg):
     lam = cfg.get("lambda", "auto")
     if isinstance(lam, (int, float)) and not isinstance(lam, bool):
-        if lam < 0:
-            raise InputError("config: lambda must be nonnegative")
-        return ("fixed", float(lam))
+        return ("fixed", float(lam))  # checked by fit
     if lam == "auto":
         return ("grid", {"n_points": 30, "ratio": 0.01})
     if isinstance(lam, dict):
@@ -318,13 +320,7 @@ def fit_result_document(result, names, eps, selection=None):
 
 
 def load_precision_json(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot open {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON: {exc}") from None
+    doc = _read_json(path)
     if not isinstance(doc, dict) or "W" not in doc:
         raise InputError(f"{path}: no 'W' entry")
     W = np.asarray(doc["W"], dtype=float)
@@ -357,13 +353,21 @@ def _load_run(args):
 
 
 def _run_path(problem, lam_spec):
-    """BIC path over the configured grid anchored on the first-iteration S."""
-    return fit_path(problem, lambda_grid(first_iteration_s(problem), **lam_spec))
+    """BIC path over the configured grid anchored on the first-iteration S, prepared once for both."""
+    prepared = _prepare(problem)
+    return fit_path(prepared, lambda_grid(first_iteration_s(prepared), **lam_spec))
+
+
+def _edge_threshold(args, cfg):
+    eps = float(_opt(args, cfg, "edge_threshold", EDGE_EPS))
+    if not 0.0 < eps < math.inf:
+        raise InputError("edge_threshold must be finite and positive")
+    return eps
 
 
 def _write_result(args, cfg, names, result, path, default_out):
     """Result JSON (with the path's selection, if any) and optional DOT graph."""
-    eps = float(_opt(args, cfg, "edge_threshold", EDGE_EPS))
+    eps = _edge_threshold(args, cfg)
     selection = None
     if path is not None:
         selection = {
@@ -393,7 +397,7 @@ def cmd_path(args) -> int:
     mode, lam_spec = _lambda_plan(cfg)
     path = fit_path(problem, [lam_spec]) if mode == "fixed" else _run_path(problem, lam_spec)
 
-    eps = float(_opt(args, cfg, "edge_threshold", EDGE_EPS))
+    eps = _edge_threshold(args, cfg)
     table = _opt(args, cfg, "table", "path.csv")
     with open(table, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -463,13 +467,7 @@ def cmd_simulate(args) -> int:
             "kind": "manifest",
             "generator": GENERATOR_ID,
             "version": __version__,
-            "pattern": {
-                "kind": pattern.kind,
-                "m": pattern.m,
-                "edge_weight": pattern.edge_weight,
-                "diagonal_boost": pattern.diagonal_boost,
-                "sparsity": pattern.sparsity,
-            },
+            "pattern": asdict(pattern),
             "n": args.n,
             "family": args.family,
             "mu": args.mu,
@@ -514,27 +512,21 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_fit = sub.add_parser("fit", help="fit at one penalty (or BIC-select with lambda=auto)")
-    p_fit.add_argument("--data", help="input CSV (header row = column names)")
-    p_fit.add_argument("--config", help="JSON config file")
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--data", help="input CSV (header row = column names)")
+    run.add_argument("--config", help="JSON config file")
+    run.add_argument("--dot", help="also write a Graphviz DOT file of the (selected) model")
+    run.add_argument("--edge-threshold", dest="edge_threshold", type=float)
+    run.add_argument("--drop-isolated", dest="drop_isolated", action="store_const", const=True)
+    run.add_argument("--equalize-lipschitz", dest="equalize_lipschitz", action="store_const", const=True,
+                     help="rescale losses with bounds below one up to one (faster, changes units)")
+    p_fit = sub.add_parser("fit", parents=[run], help="fit at one penalty (or BIC-select with lambda=auto)")
     p_fit.add_argument("--out", help="result JSON path (default result.json)")
-    p_fit.add_argument("--dot", help="also write a Graphviz DOT file")
-    p_fit.add_argument("--edge-threshold", dest="edge_threshold", type=float)
-    p_fit.add_argument("--drop-isolated", dest="drop_isolated", action="store_const", const=True)
-    p_fit.add_argument("--equalize-lipschitz", dest="equalize_lipschitz", action="store_const", const=True,
-                       help="rescale losses with bounds below one up to one (faster, changes units)")
     p_fit.set_defaults(func=cmd_fit)
 
-    p_path = sub.add_parser("path", help="fit a penalty path and select by BIC")
-    p_path.add_argument("--data", help="input CSV")
-    p_path.add_argument("--config", help="JSON config file")
+    p_path = sub.add_parser("path", parents=[run], help="fit a penalty path and select by BIC")
     p_path.add_argument("--out", help="selected-model JSON path (default selected.json)")
     p_path.add_argument("--table", help="per-penalty CSV table (default path.csv)")
-    p_path.add_argument("--dot", help="DOT file for the selected model")
-    p_path.add_argument("--edge-threshold", dest="edge_threshold", type=float)
-    p_path.add_argument("--drop-isolated", dest="drop_isolated", action="store_const", const=True)
-    p_path.add_argument("--equalize-lipschitz", dest="equalize_lipschitz", action="store_const", const=True,
-                        help="rescale losses with bounds below one up to one (faster, changes units)")
     p_path.set_defaults(func=cmd_path)
 
     p_sim = sub.add_parser("simulate", help="generate synthetic data with known ground truth")

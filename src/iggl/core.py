@@ -27,7 +27,10 @@ first two solves are always at full tolerance).  When the loop ends, a last
 solve whose residual is above ``inner_tol`` is polished: re-solved at
 ``inner_tol`` from its W on the same S, replacing the last trace entry.
 ``converged`` therefore means that the objective trace met ``outer_tol``
-and that the returned W meets ``inner_tol`` on the returned S.
+and that the returned W meets ``inner_tol`` on the returned S (kept on the
+state).  Everything but the penalty (domain checks, count reparameterization,
+intercepts and M, loss scaling, W0, phi) is resolved once, by ``_prepare``,
+into a :class:`PreparedProblem` that a whole penalty path shares.
 
 phi is fixed for the whole run at ``phi_c / ||W0||_2``, the largest entry
 of the diagonal W0.  A warm start and every iterate must keep ``I - phi*W``
@@ -80,18 +83,32 @@ class FitProblem:
     inner_max_iter: int = 500
 
 
+@dataclass(frozen=True, eq=False)
+class PreparedProblem:
+    """A :class:`FitProblem` (which still gives the options and penalty) resolved by ``_prepare``."""
+
+    problem: FitProblem
+    Y: np.ndarray
+    losses: tuple
+    M: np.ndarray
+    intercepts: np.ndarray | None
+    W0: np.ndarray
+    phi: float
+
+
 @dataclass
 class IterState:
     """Loop variables of the outer iteration, kept for diagnostics.
 
-    The lists hold one entry per outer iteration: the objective, and the
-    inner solve's iteration count, KKT tolerance and final KKT residual.
+    ``S`` is the cross-product on which the returned ``W`` was solved.  The
+    lists hold one entry per outer iteration: the objective, and the inner
+    solve's iteration count, KKT tolerance and final KKT residual.
     """
 
     Theta: np.ndarray
     Xi: np.ndarray
     W: np.ndarray
-    phi: float
+    S: np.ndarray | None = None
     F_trace: list = field(default_factory=list)
     k: int = 0
     inner_iterations: list = field(default_factory=list)
@@ -314,8 +331,10 @@ def calibrate_losses(losses, alpha, Y, h=1e-4, min_curvature=1e-8):
     return tuple(out)
 
 
-def _prepare(problem: FitProblem):
-    """Validate the problem and resolve losses, mean, W0 and phi."""
+def _prepare(problem) -> PreparedProblem:
+    """Validate the problem and resolve losses, mean, W0 and phi; a prepared one passes through."""
+    if isinstance(problem, PreparedProblem):
+        return problem
     Y = np.asarray(problem.Y, dtype=float)
     if Y.ndim != 2:
         raise ValueError("Y must be a 2-d array")
@@ -324,6 +343,12 @@ def _prepare(problem: FitProblem):
         raise ValueError("need at least 2 rows and 2 columns")
     if problem.max_outer < 1:
         raise ValueError("max_outer must be at least 1")
+    if problem.inner_max_iter < 1:
+        raise ValueError("inner_max_iter must be at least 1")
+    if not 0.0 <= problem.outer_tol < np.inf:  # 0 runs to max_outer
+        raise ValueError("outer_tol must be finite and nonnegative")
+    if not 0.0 < problem.inner_tol < np.inf:
+        raise ValueError("inner_tol must be finite and positive")
     if not np.all(np.isfinite(Y)):
         raise ValueError("Y contains non-finite entries")
     losses = list(problem.losses)
@@ -336,11 +361,8 @@ def _prepare(problem: FitProblem):
             _check_column(loss.kind, Y[:, k], k)
 
     poisson_cols = [k for k, l in enumerate(losses) if l.kind == "poisson_reparam"]
-    infos = {}
-    if poisson_cols:
-        infos, pl = poisson_preprocess(Y, poisson_cols)
-        for k in poisson_cols:
-            losses[k] = pl[k]
+    for k, loss in poisson_preprocess(Y, poisson_cols)[1].items():
+        losses[k] = loss
 
     if problem.M is not None:
         M = np.asarray(problem.M, dtype=float)
@@ -371,27 +393,31 @@ def _prepare(problem: FitProblem):
         raise ValueError(f"column {int(low[0])} has (near-)zero variance")
     W0 = np.diag(1.0 / variances)
     phi = choose_phi(W0, problem.phi_c)
-    return Y, losses, M, alpha, infos, W0, phi
+    return PreparedProblem(problem, Y, losses, M, alpha, W0, phi)
 
 
-def first_iteration_s(problem: FitProblem) -> np.ndarray:
+def cross_product(Xi, M) -> np.ndarray:
+    """The surrogate cross-product S = sym((Xi - M)^T (Xi - M) / n)."""
+    E = Xi - M
+    S = (E.T @ E) / E.shape[0]
+    return 0.5 * (S + S.T)
+
+
+def first_iteration_s(problem) -> np.ndarray:
     """Cross-product matrix the first inner solve would see.
 
     Used to anchor the penalty grid before any fitting happens; it does not
-    depend on the penalty itself.
+    depend on the penalty itself.  Takes a problem or a prepared problem.
     """
-    Y, losses, M, _, _, W0, phi = _prepare(problem)
-    n = Y.shape[0]
-    Theta0 = Y + phi * ((M - Y) @ W0)
-    Xi1 = xi_update(Theta0, Y, losses)
-    E = Xi1 - M
-    S1 = (E.T @ E) / n
-    return 0.5 * (S1 + S1.T)
+    p = _prepare(problem)
+    Theta0 = p.Y + p.phi * ((p.M - p.Y) @ p.W0)
+    return cross_product(xi_update(Theta0, p.Y, p.losses), p.M)
 
 
-def fit(problem: FitProblem, W_init=None) -> FitResult:
+def fit(problem, W_init=None) -> FitResult:
     """Run the outer loop and return the fitted precision matrix.
 
+    ``problem`` may be prepared already (the fits of a path share one).
     ``W_init`` warm starts the precision iterate (the feasibility scalar phi
     is always taken from the variance-diagonal initializer so warm and cold
     runs optimize the same criterion).  Stops when the relative change of
@@ -400,16 +426,16 @@ def fit(problem: FitProblem, W_init=None) -> FitResult:
     to ``inner_tol`` if it was solved more loosely (see the module
     docstring).
     """
-    Y, losses, M, alpha, _, W0, phi = _prepare(problem)
-    n = Y.shape[0]
+    prepared = _prepare(problem)
+    problem = prepared.problem
+    Y, losses, M, phi = prepared.Y, prepared.losses, prepared.M, prepared.phi
     lam = float(problem.lam)
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
+    if not 0.0 <= lam < np.inf:
+        raise ValueError("lambda must be finite and nonnegative")
 
-    W = W0 if W_init is None else 0.5 * (np.asarray(W_init, dtype=float) + np.asarray(W_init, dtype=float).T)
-    Xi = Y.copy()
-    Theta = theta_update(Xi, M, W, phi)  # raises if W_init is not feasible
-    state = IterState(Theta=Theta, Xi=Xi, W=W, phi=phi)
+    W = prepared.W0 if W_init is None else 0.5 * (np.asarray(W_init, dtype=float) + np.asarray(W_init, dtype=float).T)
+    Theta = theta_update(Y, M, W, phi)  # raises if W_init is not feasible
+    state = IterState(Theta=Theta, Xi=Y.copy(), W=W)
 
     def block_step(Xi, S, W, tol):
         """Inner solve on S from W to KKT residual ``tol``, then Theta and F."""
@@ -429,9 +455,7 @@ def fit(problem: FitProblem, W_init=None) -> FitResult:
     rel = 0.0
     for k in range(1, problem.max_outer + 1):
         Xi = xi_update(Theta, Y, losses)
-        E = Xi - M
-        S = (E.T @ E) / n
-        S = 0.5 * (S + S.T)
+        S = cross_product(Xi, M)
         # inexact block step: solve only as tightly as the objective still moves
         tol = max(problem.inner_tol, rel)
         est, Theta, F = block_step(Xi, S, W, tol)
@@ -440,7 +464,7 @@ def fit(problem: FitProblem, W_init=None) -> FitResult:
         state.inner_iterations.append(est.iterations)
         state.inner_tols.append(tol)
         state.inner_kkt.append(est.kkt_residual)
-        state.Theta, state.Xi, state.W, state.k = Theta, Xi, W, k
+        state.Theta, state.Xi, state.S, state.W, state.k = Theta, Xi, S, W, k
         if k >= 2:
             rel = abs(F - F_prev) / (1.0 + abs(F_prev))
             if rel < problem.outer_tol:
@@ -458,13 +482,5 @@ def fit(problem: FitProblem, W_init=None) -> FitResult:
         state.inner_kkt[-1] = est.kkt_residual
         state.Theta, state.W = Theta, est.W
 
-    return FitResult(
-        estimate=est,
-        state=state,
-        phi=phi,
-        lam=lam,
-        converged=outer_converged and est.converged,
-        intercepts=alpha,
-        M=M,
-        losses=losses,
-    )
+    return FitResult(estimate=est, state=state, phi=phi, lam=lam, converged=outer_converged and est.converged,
+                     intercepts=prepared.intercepts, M=M, losses=losses)

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 
-from .core import FitProblem, FitResult, fit
+from .core import FitResult, _prepare, fit
 from .glasso import log_det_pd
 
 EDGE_EPS = 1e-8
@@ -66,22 +66,21 @@ def degrees_of_freedom(W, eps=EDGE_EPS) -> int:
 def bic(result: FitResult) -> float:
     """n * [Tr(S W) - log det W] + log(n) * df.
 
-    S is rebuilt from the final gradient-step image of the fit (the
-    linearized Gaussian proxy), which keeps one formula across all loss
-    families.
+    S is the cross-product on which the fit's returned W was solved, built
+    from its final gradient-step image (the linearized Gaussian proxy), which
+    keeps one formula across all loss families.
     """
-    Xi = result.state.Xi
+    S = result.state.S
     W = result.estimate.W
-    n = Xi.shape[0]
-    E = Xi - result.M
-    S = (E.T @ E) / n
+    n = result.state.Xi.shape[0]
     ll = float(np.sum(S * W)) - log_det_pd(W)
     return float(n * ll + np.log(n) * degrees_of_freedom(W))
 
 
-def fit_path(problem: FitProblem, lambdas) -> PathResult:
+def fit_path(problem, lambdas) -> PathResult:
     """Fit every penalty in descending order, scoring each with BIC.
 
+    The problem is prepared once, before any fit, and the fits share it.
     Each fit is warm started from the previous precision estimate (largest
     penalty first); this accelerates the path without changing solutions.
     Failed fits are recorded and skipped by the selection; ties in BIC
@@ -93,13 +92,14 @@ def fit_path(problem: FitProblem, lambdas) -> PathResult:
     if lambdas.size > 1 and np.any(np.diff(lambdas) >= 0):
         raise ValueError("lambdas must be strictly descending")
 
+    prepared = _prepare(problem)
     fits = [None] * lambdas.size
     errors = [None] * lambdas.size
     first_failure = None
     W_prev = None
     for i, lam in enumerate(lambdas):
         try:
-            fits[i] = fit(replace(problem, lam=float(lam)), W_init=W_prev)
+            fits[i] = fit(replace(prepared, problem=replace(prepared.problem, lam=float(lam))), W_init=W_prev)
         except (ValueError, RuntimeError) as exc:
             errors[i] = f"lambda={lam:g}: {exc}"
             first_failure = first_failure or exc
@@ -111,8 +111,8 @@ def fit_path(problem: FitProblem, lambdas) -> PathResult:
         if res is not None:
             scores[i] = bic(res)
     if not np.any(np.isfinite(scores)):
-        # the first fit is cold started, so when it fails with a ValueError
-        # the problem itself was rejected (bad input), not the solver
+        # the problem passed preparation and the first fit is cold started,
+        # so a ValueError there rejects the penalty (bad input), not the solver
         failure = type(first_failure) if first_failure else RuntimeError
         raise failure("every path fit failed: " + "; ".join(e for e in errors if e))
     selected = int(np.argmin(scores))  # first minimum = largest lambda on ties

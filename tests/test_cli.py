@@ -283,6 +283,24 @@ class TestFit:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("cfg, key", [
+        ({"inner_max_iter": -1}, "inner_max_iter"),
+        ({"lambda": float("nan")}, "lambda"),
+        ({"lambda": float("inf")}, "lambda"),
+        ({"edge_threshold": -1}, "edge_threshold"),
+        ({"inner_tol": -1}, "inner_tol"),
+        ({"outer_tol": float("nan")}, "outer_tol"),
+    ])
+    def test_out_of_range_option_rejected(self, tmp_path, capsys, cfg, key):
+        sim = simulate(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        write(cfg_path, json.dumps({"losses": "quadratic", "lambda": 0.1, **cfg}))  # NaN/Infinity as Python's json writes them
+        rc = main(["fit", "--data", str(sim / "Y.csv"), "--config", str(cfg_path),
+                   "--out", str(tmp_path / "r.json")])
+        assert rc == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # nearly collinear unit-variance columns: the unpenalized precision
         # breaks the feasibility budget phi * ||W||_2 <= 1 inside the solver
@@ -328,7 +346,7 @@ class TestPath:
         assert doc["selection"]["bic"][doc["selection"]["selected_index"]] == min(bics)
 
     def test_fixed_lambda_input_error_is_not_numerical(self, tmp_path, capsys):
-        # every fit of the one-point path rejects the zero-variance column
+        # preparing the one-point path rejects the zero-variance column
         data = tmp_path / "Y.csv"
         write(data, "a,b\n1,2\n1,3\n1,1\n")
         cfg = tmp_path / "cfg.json"
@@ -337,6 +355,22 @@ class TestPath:
                    "--table", str(tmp_path / "t.csv"), "--out", str(tmp_path / "s.json")])
         assert rc == 1
         assert "variance" in capsys.readouterr().err
+
+
+    def test_auto_lambda_prepares_once(self, tmp_path, monkeypatch):
+        import iggl.core
+
+        sim = simulate(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        write(cfg, json.dumps({"losses": "quadratic", "lambda": "auto"}))
+        calls = []
+        original = iggl.core.choose_phi  # called once by every preparation
+        monkeypatch.setattr(iggl.core, "choose_phi", lambda *a: calls.append(a) or original(*a))
+        rc = main(["path", "--data", str(sim / "Y.csv"), "--config", str(cfg),
+                   "--table", str(tmp_path / "t.csv"), "--out", str(tmp_path / "s.json")])
+        assert rc == 0
+        assert len(calls) == 1
+        assert len(open(tmp_path / "t.csv").read().splitlines()) == 31
 
 
 class TestMetrics:

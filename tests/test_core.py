@@ -546,6 +546,7 @@ class TestInexactInnerSolves:
         E = st.Xi - res.M
         S = E.T @ E / E.shape[0]
         S = 0.5 * (S + S.T)
+        assert np.array_equal(S, st.S)
         assert kkt_residual(S, res.estimate.W, res.lam) <= prob.inner_tol
         assert st.inner_kkt[-1] == res.estimate.kkt_residual
         assert np.array_equal(st.W, res.estimate.W)

@@ -114,6 +114,27 @@ class TestFitPath:
             cold = fit(replace(prob, lam=lam))
             assert np.max(np.abs(fw.estimate.W - cold.estimate.W)) <= 1e-6
 
+    def test_prepares_once(self, monkeypatch):
+        import iggl.core
+
+        Y = synth_data("quadratic", 5, 80, seed=9)
+        prob = FitProblem(Y=Y, losses=quad_map(5), lam=0.0)
+        calls = []
+        original = iggl.core.estimate_intercepts
+        monkeypatch.setattr(iggl.core, "estimate_intercepts", lambda *a: calls.append(a) or original(*a))
+        path = fit_path(prob, np.geomspace(0.5, 0.01, 10))
+        assert len(calls) == 1
+        assert all(f is not None for f in path.fits)
+        assert len({id(f.M) for f in path.fits}) == 1
+
+    def test_rejected_problem_raises_once(self):
+        Y = synth_data("bernoulli", 3, 30, seed=16)
+        Y[4, 1] = 2.0
+        prob = FitProblem(Y=Y, losses=tuple(make_loss("bernoulli") for _ in range(3)), lam=0.0)
+        with pytest.raises(ValueError, match="^column 1: bernoulli loss requires labels") as info:
+            fit_path(prob, [0.3, 0.2, 0.1])
+        assert str(info.value).count("requires labels") == 1
+
     def test_requires_descending(self):
         Y = synth_data("quadratic", 3, 30, seed=8)
         prob = FitProblem(Y=Y, losses=quad_map(3), lam=0.0)
