@@ -13,7 +13,6 @@ from .core import (
     FitResult,
     IterState,
     PoissonColumn,
-    calibrate_losses,
     choose_phi,
     estimate_intercepts,
     first_iteration_s,
@@ -66,7 +65,6 @@ __all__ = [
     "bic",
     "bregman",
     "bregman_sym",
-    "calibrate_losses",
     "choose_phi",
     "default_lipschitz",
     "edge_metrics",

@@ -33,6 +33,12 @@ EXIT_NONCONVERGED = 2
 EXIT_NUMERICAL = 3
 
 SCHEMA_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "config.schema.json")
+with open(SCHEMA_PATH, "r", encoding="utf-8") as _fh:
+    _SCHEMA = json.load(_fh)
+_JSON_TYPES = {"string": str, "boolean": bool, "integer": int, "number": (int, float), "object": dict, "array": list}
+# the config keys that set FitProblem options; an unset key leaves FitProblem's default
+_PROBLEM_KEYS = ("phi_c", "outer_tol", "max_outer", "equalize_lipschitz", "penalize_diagonal", "inner_tol",
+                 "inner_max_iter")
 
 
 class InputError(ValueError):
@@ -108,23 +114,38 @@ def load_config(path):
     cfg = _read_json(path)
     if not isinstance(cfg, dict):
         raise InputError(f"{path}: config must be a JSON object")
-    _check_keys(cfg, path)
+    _check_object(cfg, path)
+    for key in ("lambda", "mean"):  # the object alternatives of their oneOf
+        if isinstance(cfg.get(key), dict):
+            _check_object(cfg[key], f"config: {key}", key)
     return cfg
 
 
-def _check_keys(obj, where, *path):
-    """Reject keys of config object ``obj`` that its schema object lacks.
+def _check_object(obj, where, *path):
+    """Reject keys of config object ``obj`` that its schema object lacks, and values of the wrong type.
 
     ``path`` names the properties from the schema root down to the object;
     an array stands for its items and a ``oneOf`` for its object alternative.
+    A value is checked when its schema node has a plain ``type``: a boolean
+    is not a number, an integer must be a JSON integer, and a number is
+    stored back as a float.
     """
-    with open(SCHEMA_PATH, "r", encoding="utf-8") as fh:
-        node = json.load(fh)
+    node = _SCHEMA
     for name in path:
         node = _schema_object(node)["properties"][name]
-    unknown = sorted(set(obj) - set(_schema_object(node)["properties"]))
+    props = _schema_object(node)["properties"]
+    unknown = sorted(set(obj) - set(props))
     if unknown:
         raise InputError(f"{where}: unknown config key {', '.join(map(repr, unknown))}")
+    for key, value in obj.items():
+        kind = props[key].get("type")
+        if kind and (not isinstance(value, _JSON_TYPES[kind]) or isinstance(value, bool) != (kind == "boolean")):
+            raise InputError(f"{where}: {key!r} must be of type {kind}")
+        if kind == "number":
+            try:
+                obj[key] = float(value)
+            except OverflowError:
+                raise InputError(f"{where}: {key!r} is out of range") from None
 
 
 def _schema_object(node):
@@ -171,7 +192,7 @@ def resolve_column_losses(cfg, names, Y):
         section = {"default": section}
     if not isinstance(section, dict):
         raise InputError("config: 'losses' must be an object")
-    _check_keys(section, "config: losses", "losses")
+    _check_object(section, "config: losses", "losses")
     specs = [None] * m
     default = section.get("default")
     if default is not None:
@@ -181,13 +202,11 @@ def resolve_column_losses(cfg, names, Y):
         where = f"losses.ranges[{i}]"
         if not isinstance(entry, dict) or "columns" not in entry or "loss" not in entry:
             raise InputError(f"{where}: need 'columns' and 'loss'")
-        _check_keys(entry, where, "losses", "ranges")
+        _check_object(entry, where, "losses", "ranges")
         kp = _parse_loss_spec(entry["loss"], where)
-        for k in _parse_range(str(entry["columns"]), m, where):
+        for k in _parse_range(entry["columns"], m, where):
             specs[k] = kp
     by_name = section.get("columns", {})
-    if not isinstance(by_name, dict):
-        raise InputError("config: 'losses.columns' must be an object")
     index = {name: k for k, name in enumerate(names)}
     for name, spec in by_name.items():
         if name not in index:
@@ -218,31 +237,20 @@ def build_problem(cfg, Y, losses):
         _, M = read_csv_matrix(mean["given"])
         if M.shape != Y.shape:
             raise InputError(f"mean matrix shape {M.shape} does not match data shape {Y.shape}")
-    return FitProblem(
-        Y=Y,
-        losses=losses,
-        lam=0.0,
-        M=M,
-        phi_c=float(cfg.get("phi_c", 1e-3)),
-        outer_tol=float(cfg.get("outer_tol", 1e-6)),
-        max_outer=int(cfg.get("max_outer", 200)),
-        calibrate=bool(cfg.get("calibrate", False)),
-        equalize_lipschitz=bool(cfg.get("equalize_lipschitz", False)),
-        penalize_diagonal=bool(cfg.get("penalize_diagonal", False)),
-        inner_tol=float(cfg.get("inner_tol", 1e-7)),
-        inner_max_iter=int(cfg.get("inner_max_iter", 500)),
-    )
+    return FitProblem(Y=Y, losses=losses, lam=0.0, M=M, **{key: cfg[key] for key in _PROBLEM_KEYS if key in cfg})
 
 
 def _lambda_plan(cfg):
     lam = cfg.get("lambda", "auto")
     if isinstance(lam, (int, float)) and not isinstance(lam, bool):
-        return ("fixed", float(lam))  # checked by fit
+        try:
+            return ("fixed", float(lam))  # range checked by fit
+        except OverflowError:
+            raise InputError("config: 'lambda' is out of range") from None
     if lam == "auto":
-        return ("grid", {"n_points": 30, "ratio": 0.01})
-    if isinstance(lam, dict):
-        _check_keys(lam, "config: lambda", "lambda")
-        return ("grid", {"n_points": int(lam.get("n_points", 30)), "ratio": float(lam.get("ratio", 0.01))})
+        return ("grid", {})  # lambda_grid's default grid
+    if isinstance(lam, dict):  # keys and types checked by load_config
+        return ("grid", lam)
     raise InputError("config: 'lambda' must be a number, \"auto\", or a grid object")
 
 
@@ -333,22 +341,17 @@ def load_precision_json(path):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _opt(args, cfg, key, default=None):
-    v = getattr(args, key, None)
-    if v is not None:
-        return v
-    return cfg.get(key, default)
-
-
 def _load_run(args):
-    """Config, column names, and the penalty-free problem of ``fit``/``path``."""
+    """Config with the command-line flags applied over it, column names, and the penalty-free problem."""
     cfg = load_config(args.config) if args.config else {}
-    data = _opt(args, cfg, "data")
-    if not data:
+    cfg.update((key, v) for key, v in vars(args).items() if v is not None and key in _SCHEMA["properties"])
+    if not cfg.get("data"):
         raise InputError("no input data: pass --data or set 'data' in the config")
-    names, Y = read_csv_matrix(data)
+    eps = cfg.setdefault("edge_threshold", EDGE_EPS)  # checked before any fit
+    if not 0.0 < eps < math.inf:
+        raise InputError("edge_threshold must be finite and positive")
+    names, Y = read_csv_matrix(cfg["data"])
     losses = resolve_column_losses(cfg, names, Y)
-    cfg["equalize_lipschitz"] = bool(_opt(args, cfg, "equalize_lipschitz", False))
     return cfg, names, build_problem(cfg, Y, losses)
 
 
@@ -358,16 +361,9 @@ def _run_path(problem, lam_spec):
     return fit_path(prepared, lambda_grid(first_iteration_s(prepared), **lam_spec))
 
 
-def _edge_threshold(args, cfg):
-    eps = float(_opt(args, cfg, "edge_threshold", EDGE_EPS))
-    if not 0.0 < eps < math.inf:
-        raise InputError("edge_threshold must be finite and positive")
-    return eps
-
-
-def _write_result(args, cfg, names, result, path, default_out):
+def _write_result(cfg, names, result, path, default_out):
     """Result JSON (with the path's selection, if any) and optional DOT graph."""
-    eps = _edge_threshold(args, cfg)
+    eps = cfg["edge_threshold"]
     selection = None
     if path is not None:
         selection = {
@@ -375,11 +371,9 @@ def _write_result(args, cfg, names, result, path, default_out):
             "bic": [None if not np.isfinite(b) else float(b) for b in path.bic],
             "selected_index": int(path.selected_index),
         }
-    _dump_json(fit_result_document(result, names, eps, selection), _opt(args, cfg, "out", default_out))
-    dot = _opt(args, cfg, "dot")
-    if dot:
-        drop = bool(_opt(args, cfg, "drop_isolated", False))
-        write_dot(dot, names, edge_list(result.estimate.W, names, eps), drop_isolated=drop)
+    _dump_json(fit_result_document(result, names, eps, selection), cfg.get("out", default_out))
+    if cfg.get("dot"):
+        write_dot(cfg["dot"], names, edge_list(result.estimate.W, names, eps), cfg.get("drop_isolated", False))
     return EXIT_OK if result.converged else EXIT_NONCONVERGED
 
 
@@ -387,19 +381,17 @@ def cmd_fit(args) -> int:
     cfg, names, problem = _load_run(args)
     mode, lam_spec = _lambda_plan(cfg)
     if mode == "fixed":
-        return _write_result(args, cfg, names, fit(replace(problem, lam=lam_spec)), None, "result.json")
+        return _write_result(cfg, names, fit(replace(problem, lam=lam_spec)), None, "result.json")
     path = _run_path(problem, lam_spec)
-    return _write_result(args, cfg, names, path.fits[path.selected_index], path, "result.json")
+    return _write_result(cfg, names, path.fits[path.selected_index], path, "result.json")
 
 
 def cmd_path(args) -> int:
     cfg, names, problem = _load_run(args)
     mode, lam_spec = _lambda_plan(cfg)
     path = fit_path(problem, [lam_spec]) if mode == "fixed" else _run_path(problem, lam_spec)
-
-    eps = _edge_threshold(args, cfg)
-    table = _opt(args, cfg, "table", "path.csv")
-    with open(table, "w", newline="", encoding="utf-8") as fh:
+    eps = cfg["edge_threshold"]
+    with open(cfg.get("table", "path.csv"), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["lambda", "objective", "df", "bic", "converged"])
         for i, lam in enumerate(path.lambdas):
@@ -414,7 +406,7 @@ def cmd_path(args) -> int:
                     repr(float(path.bic[i])),
                     str(bool(res.converged)).lower(),
                 ])
-    return _write_result(args, cfg, names, path.fits[path.selected_index], path, "selected.json")
+    return _write_result(cfg, names, path.fits[path.selected_index], path, "selected.json")
 
 
 def _resolve_seed(args) -> int:
@@ -519,7 +511,7 @@ def build_parser():
     run.add_argument("--edge-threshold", dest="edge_threshold", type=float)
     run.add_argument("--drop-isolated", dest="drop_isolated", action="store_const", const=True)
     run.add_argument("--equalize-lipschitz", dest="equalize_lipschitz", action="store_const", const=True,
-                     help="rescale losses with bounds below one up to one (faster, changes units)")
+                     help="scale every loss to a gradient-Lipschitz bound of exactly one (reweights the columns)")
     p_fit = sub.add_parser("fit", parents=[run], help="fit at one penalty (or BIC-select with lambda=auto)")
     p_fit.add_argument("--out", help="result JSON path (default result.json)")
     p_fit.set_defaults(func=cmd_fit)

@@ -41,7 +41,7 @@ Cholesky factorization of ``(1 + 1e-12)/phi * I - W``.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,7 +53,7 @@ from .losses import (
     check_domain,
     force_unit_lipschitz,
     kernel_value,
-    loss_value,
+    loss_value,  # not called here; perfbench/spans.py rebinds core.loss_value to count calls
     robust_scale,
     scale_to_unit_lipschitz,
 )
@@ -76,7 +76,6 @@ class FitProblem:
     phi_c: float = 1e-3
     outer_tol: float = 1e-6
     max_outer: int = 200
-    calibrate: bool = False
     equalize_lipschitz: bool = False
     penalize_diagonal: bool = False
     inner_tol: float = 1e-7
@@ -303,34 +302,6 @@ def _check_column(kind, y, k):
         raise ValueError(f"column {k}: {exc}") from None
 
 
-def calibrate_losses(losses, alpha, Y, h=1e-4, min_curvature=1e-8):
-    """Divide each loss by its curvature at the column intercept.
-
-    The curvature is the per-observation average second difference of the
-    scaled loss at ``alpha[k]`` (step ``h``).  Nonpositive or vanishing
-    curvature raises a ``ValueError`` naming the column.  Count columns are
-    skipped: their reparameterized loss is shift-invariant, so the intercept
-    curvature is identically zero and their scale is already pinned by the
-    curvature bound.
-    """
-    Y = np.asarray(Y, dtype=float)
-    out = []
-    for k, loss in enumerate(losses):
-        if loss.kind == "poisson_reparam":
-            out.append(loss)
-            continue
-        y = Y[:, k]
-        a = float(alpha[k])
-        vp = np.sum(loss_value(loss, np.full_like(y, a + h), y))
-        v0 = np.sum(loss_value(loss, np.full_like(y, a), y))
-        vm = np.sum(loss_value(loss, np.full_like(y, a - h), y))
-        curv = float((vp - 2.0 * v0 + vm) / (h * h) / y.size)
-        if not np.isfinite(curv) or curv <= min_curvature:
-            raise ValueError(f"calibration failed for column {k}: curvature {curv:.3e} at alpha={a:.6g}")
-        out.append(replace(loss, scale_factor=loss.scale_factor / curv, lipschitz=loss.lipschitz / curv))
-    return tuple(out)
-
-
 def _prepare(problem) -> PreparedProblem:
     """Validate the problem and resolve losses, mean, W0 and phi; a prepared one passes through."""
     if isinstance(problem, PreparedProblem):
@@ -376,10 +347,6 @@ def _prepare(problem) -> PreparedProblem:
             # the count intercept is eliminated inside the loss; alpha[k]
             # reports it but the mean column stays zero
             M[:, k] = 0.0
-
-    if problem.calibrate:
-        base = alpha if alpha is not None else estimate_intercepts(Y, losses)
-        losses = list(calibrate_losses(losses, base, Y))
 
     unit = force_unit_lipschitz if problem.equalize_lipschitz else scale_to_unit_lipschitz
     losses = tuple(unit(l) for l in losses)

@@ -353,8 +353,9 @@ def force_unit_lipschitz(loss: ColumnLoss) -> ColumnLoss:
     """Rescale so the certified bound equals one exactly (both directions).
 
     Used by the ``equalize_lipschitz`` option: losses with a bound below one
-    (e.g. the Bernoulli deviance at 1/4) are multiplied up for faster
-    convergence, at the price of changing the units of reported objectives.
+    (e.g. the Bernoulli deviance at 1/4) are multiplied up too, which
+    reweights the columns in the criterion and changes the units of reported
+    objectives.
     """
     return _divide_by_bound(loss) if loss.lipschitz != 1.0 else loss
 

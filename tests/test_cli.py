@@ -1,10 +1,16 @@
+import inspect
 import json
 import os
+import subprocess
+import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from iggl.cli import main, read_csv_matrix, write_dot
+from iggl import FitProblem, lambda_grid
+from iggl.cli import _PROBLEM_KEYS, _SCHEMA, main, read_csv_matrix, write_dot
+from iggl.select import EDGE_EPS
 
 from helpers import check_dot_grammar
 
@@ -261,11 +267,99 @@ class TestFit:
     def test_mistyped_config_key_rejected(self, tmp_path, capsys):
         sim = simulate(tmp_path)
         cfg = tmp_path / "cfg.json"
-        write(cfg, json.dumps({"losses": "quadratic", "lamda": 0.1}))
-        rc = main(["fit", "--data", str(sim / "Y.csv"), "--config", str(cfg), "--out", str(tmp_path / "r.json")])
+        # "calibrate" was an option once; its scaling is "equalize_lipschitz"'s
+        for key in ("lamda", "calibrate"):
+            write(cfg, json.dumps({"losses": "quadratic", "lambda": 0.1, key: 0.1}))
+            rc = main(["fit", "--data", str(sim / "Y.csv"), "--config", str(cfg), "--out", str(tmp_path / "r.json")])
+            assert rc == 1
+            assert f"'{key}'" in capsys.readouterr().err
+            assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("members, key", [
+        ('"penalize_diagonal": "false"', "penalize_diagonal"),
+        ('"drop_isolated": "false"', "drop_isolated"),
+        ('"edge_threshold": "0.5"', "edge_threshold"),
+        ('"phi_c": "0.5"', "phi_c"),
+        ('"inner_tol": true', "inner_tol"),
+        ('"max_outer": 2.9', "max_outer"),
+        ('"max_outer": 1e999', "max_outer"),
+        ('"inner_max_iter": "abc"', "inner_max_iter"),
+        pytest.param('"outer_tol": 1' + "0" * 400, "outer_tol", id="outer_tol-beyond-float-range"),
+        ('"lambda": {"n_points": 2.5}', "n_points"),
+        ('"lambda": {"ratio": "x"}', "ratio"),
+        pytest.param('"lambda": 1' + "0" * 400, "lambda", id="lambda-beyond-float-range"),
+        ('"mean": {"given": ["M.csv"]}', "given"),
+    ])
+    def test_mistyped_config_value_rejected(self, tmp_path, capsys, members, key):
+        sim = simulate(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        lam = "" if "lambda" in members else '"lambda": 0.1, '
+        write(cfg, '{"losses": "quadratic", ' + lam + members + "}")
+        rc = main(["fit", "--data", str(sim / "Y.csv"), "--config", str(cfg), "--out", str(tmp_path / "r.json"),
+                   "--dot", str(tmp_path / "g.dot")])
         assert rc == 1
-        assert "'lamda'" in capsys.readouterr().err
+        assert f"'{key}'" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
+        assert not (tmp_path / "g.dot").exists()
+
+    def test_mistyped_out_path_rejected(self, tmp_path):
+        # in a child process: the parent's stdout must survive an "out" of 1 (file descriptor 1)
+        sim = simulate(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        write(cfg, json.dumps({"losses": "quadratic", "lambda": 0.1, "out": 1}))
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        proc = subprocess.run([sys.executable, "-m", "iggl", "fit", "--data", str(sim / "Y.csv"), "--config", str(cfg)],
+                              capture_output=True, text=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])})
+        assert proc.returncode == 1
+        assert "'out'" in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("command, lam", [("fit", 0.1), ("path", "auto")])
+    def test_edge_threshold_checked_before_fitting(self, tmp_path, capsys, monkeypatch, command, lam):
+        import iggl.cli
+        import iggl.select
+
+        sim = simulate(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        write(cfg, json.dumps({"losses": "quadratic", "lambda": lam, "edge_threshold": -1}))
+        calls = []
+        for module in (iggl.cli, iggl.select):
+            original = module.fit
+            monkeypatch.setattr(module, "fit", lambda *a, original=original, **k: calls.append(a) or original(*a, **k))
+        table = ["--table", str(tmp_path / "t.csv")] if command == "path" else []
+        rc = main([command, "--data", str(sim / "Y.csv"), "--config", str(cfg), "--out", str(tmp_path / "r.json"), *table])
+        assert rc == 1
+        assert "edge_threshold" in capsys.readouterr().err
+        assert calls == []
+
+    @pytest.mark.parametrize("flag, cfg, scale", [
+        ([], {}, 1.0),
+        (["--equalize-lipschitz"], {}, 4.0),
+        ([], {"equalize_lipschitz": True}, 4.0),
+    ])
+    def test_equalize_lipschitz_scales_bernoulli(self, tmp_path, flag, cfg, scale):
+        sim = simulate(tmp_path, ["--family", "bernoulli"])
+        cfg_path = tmp_path / "cfg.json"
+        write(cfg_path, json.dumps({"losses": "bernoulli", "lambda": 0.1, "max_outer": 3, **cfg}))
+        out = tmp_path / "r.json"
+        rc = main(["fit", "--data", str(sim / "Y.csv"), "--config", str(cfg_path), "--out", str(out), *flag])
+        assert rc in (0, 2)
+        with open(out) as fh:
+            losses = json.load(fh)["losses"]
+        assert [(l["scale_factor"], l["lipschitz"]) for l in losses] == [(scale, scale / 4.0)] * 5
+
+    def test_schema_defaults_match_code(self):
+        # the CLI leaves unset options to these defaults; the schema documents them
+        props = _SCHEMA["properties"]
+        problem = {f.name: f.default for f in fields(FitProblem)}
+        assert set(problem) - {"Y", "losses", "lam", "M"} == set(_PROBLEM_KEYS)
+        code = {**problem, "edge_threshold": EDGE_EPS, "drop_isolated": False}
+        documented = {key: node["default"] for key, node in props.items() if "default" in node}
+        assert documented == {key: code[key] for key in documented}
+        assert set(documented) == set(_PROBLEM_KEYS) | {"edge_threshold", "drop_isolated"}
+        grid = next(alt for alt in props["lambda"]["oneOf"] if alt.get("type") == "object")["properties"]
+        params = inspect.signature(lambda_grid).parameters
+        assert {key: node["default"] for key, node in grid.items()} == {key: params[key].default for key in grid}
 
     @pytest.mark.parametrize("command, cfg, key", [
         ("path", {"losses": "quadratic", "lambda": {"n_point": 3}}, "'n_point'"),

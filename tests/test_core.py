@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from iggl import (
     FitProblem,
     GGLInstance,
     batch_grad,
-    calibrate_losses,
     choose_phi,
     estimate_intercepts,
     first_iteration_s,
@@ -24,7 +25,7 @@ from iggl import (
     xi_update,
 )
 import iggl.core
-from iggl.core import spectral_norm
+from iggl.core import _prepare, spectral_norm
 from iggl.losses import kernel_value
 
 from helpers import ALL_KINDS, loss_map_for, synth_data
@@ -340,38 +341,6 @@ class TestPoissonPreprocess:
         assert worst <= 1.0 + 1e-8
 
 
-class TestCalibration:
-    def test_quadratic_unchanged(self):
-        Y = np.random.default_rng(0).standard_normal((10, 2))
-        losses = quad_map(2)
-        out = calibrate_losses(losses, np.zeros(2), Y)
-        assert out[0].scale_factor == pytest.approx(1.0, abs=1e-6)
-
-    def test_bernoulli_divided_by_quarter(self):
-        Y = np.column_stack([np.array([0.0, 1.0, 0.0, 1.0])] * 2)
-        losses = (make_loss("bernoulli"), make_loss("bernoulli"))
-        out = calibrate_losses(losses, np.zeros(2), Y)
-        assert out[0].scale_factor == pytest.approx(4.0, rel=1e-6)
-        assert out[0].lipschitz == pytest.approx(1.0, rel=1e-6)
-
-    def test_tukey_concentrated_residuals(self):
-        rng = np.random.default_rng(6)
-        y = 0.01 * rng.standard_normal(200)
-        Y = np.column_stack([y, y])
-        losses = (make_loss("tukey", c=4.685, scale_factor=0.7), make_loss("tukey", c=4.685))
-        out = calibrate_losses(losses, np.zeros(2), Y)
-        # curvature at concentrated residuals is about the scale factor itself
-        assert out[0].scale_factor == pytest.approx(1.0, rel=1e-3)
-        assert out[1].scale_factor == pytest.approx(1.0, rel=1e-3)
-
-    def test_vanishing_curvature_naming_column(self):
-        # lorenz curvature at the margin kink's far side is identically zero
-        Y = np.column_stack([np.ones(4), -np.ones(4)])
-        losses = (make_loss("lorenz"), make_loss("lorenz"))
-        with pytest.raises(ValueError, match="column 0"):
-            calibrate_losses(losses, np.array([1.5, 0.0]), Y)
-
-
 class TestFit:
     def test_quadratic_degenerates_to_single_solve(self):
         Y = synth_data("quadratic", 6, 80, seed=5)
@@ -491,6 +460,22 @@ class TestFit:
         )
         res = fit(FitProblem(Y=Y, losses=losses, lam=0.05, max_outer=40, outer_tol=0.0))
         F = np.asarray(res.state.F_trace)
+        assert np.all(np.diff(F) <= 1e-9 * (1.0 + np.abs(F[:-1])))
+
+    def test_equalize_lipschitz_every_kind(self):
+        # one column of each kind: every loss ends at scale s/L and bound exactly one,
+        # where the default keeps the bounds below one (Bernoulli 1/4)
+        Y = np.column_stack([synth_data(kind, 2, 120, seed=40 + i)[:, 0] for i, kind in enumerate(ALL_KINDS)])
+        losses = tuple(loss_map_for(kind, Y[:, [k]])[0] for k, kind in enumerate(ALL_KINDS))
+        prob = FitProblem(Y=Y, losses=losses, lam=0.05, max_outer=40, outer_tol=0.0, equalize_lipschitz=True)
+        prepared = _prepare(prob)
+        count = ALL_KINDS.index("poisson_reparam")
+        for k, (before, after) in enumerate(zip(losses, prepared.losses)):
+            # a count column is first pinned to scale 2/total, bound 1
+            s, L = (2.0 / Y[:, k].sum(), 1.0) if k == count else (before.scale_factor, before.lipschitz)
+            assert (after.kind, after.scale_factor, after.lipschitz) == (before.kind, s / L, 1.0), before.kind
+        assert _prepare(replace(prob, equalize_lipschitz=False)).losses[1].lipschitz == 0.25
+        F = np.asarray(fit(prepared).state.F_trace)
         assert np.all(np.diff(F) <= 1e-9 * (1.0 + np.abs(F[:-1])))
 
     def test_out_of_domain_label_names_column(self):
