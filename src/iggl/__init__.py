@@ -12,7 +12,6 @@ from .core import (
     FitProblem,
     FitResult,
     IterState,
-    PoissonColumn,
     choose_phi,
     estimate_intercepts,
     first_iteration_s,
@@ -58,7 +57,6 @@ __all__ = [
     "IterState",
     "LOSS_KINDS",
     "PathResult",
-    "PoissonColumn",
     "PrecisionEstimate",
     "batch_grad",
     "batch_value",

@@ -47,13 +47,14 @@ import numpy as np
 
 from .glasso import GGLInstance, PrecisionEstimate, log_det_pd, solve_ggl
 from .losses import (
-    ColumnLoss,
     batch_grad,
     batch_value,
     check_domain,
+    default_lipschitz,
     force_unit_lipschitz,
     kernel_value,
     loss_value,  # not called here; perfbench/spans.py rebinds core.loss_value to count calls
+    make_loss,
     robust_scale,
     scale_to_unit_lipschitz,
 )
@@ -113,15 +114,6 @@ class IterState:
     inner_iterations: list = field(default_factory=list)
     inner_tols: list = field(default_factory=list)
     inner_kkt: list = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class PoissonColumn:
-    """Reparameterized count column: eliminated intercept and curvature scale."""
-
-    a: float
-    count_total: float
-    scale: float
 
 
 @dataclass
@@ -218,9 +210,9 @@ def estimate_intercepts(Y, losses) -> np.ndarray:
     column is minimized by golden section to an absolute tolerance of 1e-10.
     Margin/deviance columns whose minimizer runs away (separable labels, or
     a Bernoulli column of one label) are clipped to +/- 20 * max(scale, 1)
-    with a warning.  Like :func:`batch_value`, the search assumes every
-    non-count column lies in its kind's domain; ``fit`` checks each column
-    once before calling it.
+    with a warning.  Like :func:`batch_value`, it assumes every column lies
+    in its kind's domain (count columns: nonnegative integers with a positive
+    total); ``fit`` checks each column once before calling it.
     """
     Y = np.asarray(Y, dtype=float)
     m = Y.shape[1]
@@ -233,7 +225,6 @@ def estimate_intercepts(Y, losses) -> np.ndarray:
             alpha[k] = float(np.mean(y))
             continue
         if loss.kind == "poisson_reparam":
-            _check_column("poisson_reparam", y, k)
             alpha[k] = float(np.log(np.sum(y)))
             continue
         if loss.kind == "bernoulli":
@@ -269,37 +260,17 @@ def estimate_intercepts(Y, losses) -> np.ndarray:
 
 
 def poisson_preprocess(Y, columns):
-    """Reparameterize count columns, eliminating their intercepts.
+    """Reparameterized count losses of ``columns``, as ``{column: loss}``.
 
-    For each requested column the entries must be nonnegative integers with
-    a positive total c_k.  Returns ``(infos, losses)`` where ``infos[k]``
-    records the optimal eliminated intercept ``a_k = log(c_k)`` and
-    ``losses[k]`` is the column-level loss scaled by ``2 / c_k`` so that its
-    curvature bound (c_k / 2 for the raw loss) becomes exactly one.
+    Column k's loss has ``count_total`` c_k, the column total, and is scaled
+    by ``2 / c_k`` so that its curvature bound c_k / 2 becomes exactly one;
+    its eliminated intercept ``log(c_k)`` is reported by
+    :func:`estimate_intercepts`.  Assumes checked columns (nonnegative
+    integers with a positive total), as ``fit`` ensures.
     """
     Y = np.asarray(Y, dtype=float)
-    infos, losses = {}, {}
-    for k in columns:
-        y = Y[:, k]
-        _check_column("poisson_reparam", y, k)
-        ck = float(np.sum(y))
-        scale = 2.0 / ck
-        infos[k] = PoissonColumn(a=float(np.log(ck)), count_total=ck, scale=scale)
-        losses[k] = ColumnLoss(
-            kind="poisson_reparam",
-            params={"count_total": ck},
-            scale_factor=scale,
-            lipschitz=1.0,
-        )
-    return infos, losses
-
-
-def _check_column(kind, y, k):
-    """:func:`check_domain` with the column index in its message."""
-    try:
-        check_domain(kind, y)
-    except ValueError as exc:
-        raise ValueError(f"column {k}: {exc}") from None
+    return {k: force_unit_lipschitz(make_loss("poisson_reparam", count_total=float(np.sum(Y[:, k]))))
+            for k in columns}
 
 
 def _prepare(problem) -> PreparedProblem:
@@ -325,15 +296,21 @@ def _prepare(problem) -> PreparedProblem:
     losses = list(problem.losses)
     if len(losses) != m:
         raise ValueError(f"expected {m} losses, got {len(losses)}")
-    # the loop's batch kernels assume in-domain columns and do not check;
-    # count columns are checked by poisson_preprocess
+    # the only domain check of a fit: everything below assumes in-domain columns
     for k, loss in enumerate(losses):
+        try:
+            check_domain(loss.kind, Y[:, k])
+        except ValueError as exc:
+            raise ValueError(f"column {k}: {exc}") from None
+        # the unit step trusts a stored bound; the tolerance admits a rescaled bound of 1.0 that
+        # recomputes an ulp above it, and count losses are resolved from the data below
         if loss.kind != "poisson_reparam":
-            _check_column(loss.kind, Y[:, k], k)
-
-    poisson_cols = [k for k, l in enumerate(losses) if l.kind == "poisson_reparam"]
-    for k, loss in poisson_preprocess(Y, poisson_cols)[1].items():
-        losses[k] = loss
+            bound = loss.scale_factor * default_lipschitz(loss.kind, loss.params)
+            if loss.lipschitz < (1.0 - 1e-12) * bound:
+                raise ValueError(f"column {k}: {loss.kind} loss states gradient-Lipschitz bound "
+                                 f"{loss.lipschitz:g} below its certified {bound:g}; build it with make_loss")
+    counts = poisson_preprocess(Y, [k for k, l in enumerate(losses) if l.kind == "poisson_reparam"])
+    losses = [counts.get(k, l) for k, l in enumerate(losses)]
 
     if problem.M is not None:
         M = np.asarray(problem.M, dtype=float)
@@ -343,16 +320,13 @@ def _prepare(problem) -> PreparedProblem:
     else:
         alpha = estimate_intercepts(Y, losses)
         M = np.tile(alpha, (n, 1))
-        for k in poisson_cols:
+        for k in counts:
             # the count intercept is eliminated inside the loss; alpha[k]
             # reports it but the mean column stays zero
             M[:, k] = 0.0
 
     unit = force_unit_lipschitz if problem.equalize_lipschitz else scale_to_unit_lipschitz
     losses = tuple(unit(l) for l in losses)
-    bad = [k for k, l in enumerate(losses) if l.lipschitz > 1.0 + 1e-9]
-    if bad:
-        raise ValueError(f"columns {bad} have gradient-Lipschitz bound above one after scaling")
 
     variances = np.var(Y, axis=0, ddof=1)
     low = np.nonzero(variances < 1e-12)[0]

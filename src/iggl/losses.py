@@ -26,6 +26,7 @@ values are safe to share across threads.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,6 +46,10 @@ LOSS_KINDS = (
 PSI_KINDS = ("huber", "tukey", "hampel")
 # margin losses for labels in {-1, +1}
 MARGIN_KINDS = ("huberized_hinge", "lorenz")
+# raw gradient-Lipschitz bounds of the kinds without parameters in them
+_FIXED_LIPSCHITZ = {"quadratic": 1.0, "bernoulli": 0.25, "lorenz": 2.0, "huber": 1.0, "tukey": 1.0}
+
+_FLOAT_MAX = float(np.finfo(float).max)  # a Python float: an integer above it has no float value
 
 # consistency factor making the MAD unbiased for a Gaussian sigma
 MAD_SCALE = 1.4826
@@ -73,6 +78,10 @@ class ColumnLoss:
         Positive multiplier applied to the raw loss and its gradient.
     lipschitz : float
         Certified bound on the Lipschitz constant of the scaled gradient.
+        ``fit`` relies on it and rejects a bound below ``scale_factor *
+        default_lipschitz(kind, params)``, which the default 1.0 is for lorenz
+        and huberized_hinge with c < 1: build losses with :func:`make_loss`.
+        ``fit`` resolves every field of a ``poisson_reparam`` placeholder.
     """
 
     kind: str
@@ -84,15 +93,18 @@ class ColumnLoss:
 def make_loss(kind, scale_factor=1.0, **params) -> ColumnLoss:
     """Build a validated :class:`ColumnLoss` with its certified bound.
 
-    Parameters omitted for ``huberized_hinge`` default to ``c=1``.  The
-    ``lipschitz`` field is ``scale_factor`` times the raw-gradient bound of
+    Parameters omitted for ``huberized_hinge`` default to ``c=1``; a
+    parameter the kind does not take is rejected.  The ``lipschitz`` field
+    is ``scale_factor`` times the raw-gradient bound of
     :func:`default_lipschitz`.
     """
     if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
     if scale_factor <= 0:
         raise ValueError("scale_factor must be positive")
-    params = dict(params)
+    unknown = set(params) - set(_KERNELS[kind][2])
+    if unknown:
+        raise ValueError(f"{kind}: unknown parameters {sorted(unknown)}")
     if kind == "huberized_hinge":
         params.setdefault("c", 1.0)
     _validate_params(kind, params)
@@ -101,16 +113,13 @@ def make_loss(kind, scale_factor=1.0, **params) -> ColumnLoss:
 
 
 def _validate_params(kind, params):
-    if kind in ("huber", "tukey"):
+    if kind in ("huber", "tukey", "huberized_hinge"):
         if params.get("c", 0.0) <= 0:
             raise ValueError(f"{kind} requires a positive cutoff c")
     elif kind == "hampel":
         a, b, c = params.get("a", 0.0), params.get("b", 0.0), params.get("c", 0.0)
         if not (0 < a <= b < c):
             raise ValueError("hampel requires 0 < a <= b < c")
-    elif kind == "huberized_hinge":
-        if params.get("c", 0.0) <= 0:
-            raise ValueError("huberized_hinge requires a positive c")
     elif kind == "poisson_reparam":
         if params.get("count_total", 0.0) <= 0:
             raise ValueError("poisson_reparam requires a positive count_total")
@@ -123,6 +132,8 @@ def default_lipschitz(kind, params=None) -> float:
     huberized_hinge -> 1/c, hampel -> max(1, a/(c-b)), tukey -> 1,
     poisson_reparam -> count_total/2 (curvature bound of the column loss).
     """
+    if kind in _FIXED_LIPSCHITZ:
+        return _FIXED_LIPSCHITZ[kind]
     params = params or {}
     if kind == "huberized_hinge":
         return 1.0 / params.get("c", 1.0)
@@ -130,10 +141,7 @@ def default_lipschitz(kind, params=None) -> float:
         return max(1.0, params["a"] / (params["c"] - params["b"]))
     if kind == "poisson_reparam":
         return params["count_total"] / 2.0
-    fixed = {"quadratic": 1.0, "bernoulli": 0.25, "lorenz": 2.0, "huber": 1.0, "tukey": 1.0}
-    if kind not in fixed:
-        raise ValueError(f"unknown loss kind {kind!r}")
-    return fixed[kind]
+    raise ValueError(f"unknown loss kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -386,11 +394,14 @@ def loss_from_config(kind, params=None, column=None) -> ColumnLoss:
     hampel) or multiples of the robust scale (``c_mult`` etc.), in which
     case the column data must be supplied so the MAD scale can be computed.
     ``poisson_reparam`` assignments are returned as placeholders; the count
-    total is filled in by the fit-time preprocessing.
+    total is filled in by the fit-time preprocessing.  Every parameter value
+    must be a finite real number (not a boolean); a parameter name the kind
+    does not take is rejected by :func:`make_loss`.
     """
     params = dict(params or {})
-    if kind not in LOSS_KINDS:
-        raise ValueError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
+    for name, value in params.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not abs(value) <= _FLOAT_MAX:
+            raise ValueError(f"{kind}: parameter {name!r} must be a finite number, got {value!r}")
     if kind == "poisson_reparam":
         if params:
             raise ValueError("poisson_reparam takes no config parameters")
@@ -408,9 +419,6 @@ def loss_from_config(kind, params=None, column=None) -> ColumnLoss:
             sigma = robust_scale(np.asarray(column, dtype=float))
             absolutes = {name[:-5]: mult * sigma for name, mult in tuning.items()}
         return make_loss(kind, **absolutes)
-    unknown = set(params) - {"c"}
-    if unknown:
-        raise ValueError(f"{kind}: unknown parameters {sorted(unknown)}")
     return make_loss(kind, **params)
 
 

@@ -160,8 +160,7 @@ def test_criterion_5_poisson_reparameterization():
             y = rng.poisson(2.0, n).astype(float)
             if y.sum() == 0:
                 y[0] = 1.0
-            infos, losses = poisson_preprocess(y[:, None], [0])
-            loss = losses[0]
+            loss = poisson_preprocess(y[:, None], [0])[0]
             th = rng.standard_normal(n)
             g = loss_grad(loss, th, y)
             h = 1e-6
@@ -173,7 +172,7 @@ def test_criterion_5_poisson_reparameterization():
                 assert abs(g[i] - fd) <= 1e-5 * scale
             p = np.exp(th - th.max())
             p /= p.sum()
-            H = loss.scale_factor * infos[0].count_total * (np.diag(p) - np.outer(p, p))
+            H = loss.scale_factor * loss.params["count_total"] * (np.diag(p) - np.outer(p, p))
             assert float(np.linalg.eigvalsh(H)[-1]) <= 1.0 + 1e-8
 
 

@@ -8,8 +8,11 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import iggl.cli
+import iggl.core
 from iggl import FitProblem, lambda_grid
 from iggl.cli import _PROBLEM_KEYS, _SCHEMA, main, read_csv_matrix, write_dot
+from iggl.losses import check_domain
 from iggl.select import EDGE_EPS
 
 from helpers import check_dot_grammar
@@ -193,6 +196,43 @@ class TestFit:
         rc = main(["fit", "--data", str(data), "--config", str(cfg), "--out", str(tmp_path / "r.json")])
         assert rc == 1
         assert "'a'" in capsys.readouterr().err
+
+    def test_domain_checked_twice_per_column(self, tmp_path, monkeypatch):
+        # once by the CLI, which names the column by its header, and once by fit
+        calls = {"cli": 0, "core": 0}
+        for name, module in (("cli", iggl.cli), ("core", iggl.core)):
+            def counted(kind, y, name=name):
+                calls[name] += 1
+                check_domain(kind, y)
+            monkeypatch.setattr(module, "check_domain", counted)
+        assert main(["simulate", "--pattern", "chain", "--m", "4", "--n", "100", "--family", "poisson",
+                     "--seed", "2", "--out-dir", str(tmp_path)]) == 0
+        cfg = tmp_path / "cfg.json"
+        write(cfg, json.dumps({"losses": "poisson_reparam", "lambda": 0.1, "max_outer": 5}))
+        rc = main(["fit", "--data", str(tmp_path / "Y.csv"), "--config", str(cfg), "--out", str(tmp_path / "r.json")])
+        assert rc in (0, 2)
+        assert calls == {"cli": 4, "core": 4}
+
+    @pytest.mark.parametrize("spec, param", [
+        ('{"huber": {"c": "2"}}', "c"),
+        ('{"huber": {"c": true}}', "c"),
+        ('{"huber": {"c": null}}', "c"),
+        ('{"huber": {"c": NaN}}', "c"),
+        pytest.param('{"huber": {"c": 1' + "0" * 400 + "}}", "c", id="beyond-float-range"),
+        ('{"huber": {"c_mult": "2"}}', "c_mult"),
+        ('{"bernoulli": {"c": 2}}', "c"),
+        ('{"huber": {"c": 1, "d": 5}}', "d"),
+    ])
+    def test_bad_loss_parameter_rejected(self, tmp_path, capsys, spec, param):
+        data = tmp_path / "Y.csv"
+        write(data, "a,b\n" + "".join(f"{0.1 * i * i},{i % 2}\n" for i in range(8)))
+        cfg = tmp_path / "cfg.json"
+        write(cfg, '{"lambda": 0.1, "losses": {"default": "quadratic", "columns": {"b": ' + spec + "}}}")
+        rc = main(["fit", "--data", str(data), "--config", str(cfg), "--out", str(tmp_path / "r.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "column 'b'" in err and f"'{param}'" in err
+        assert not (tmp_path / "r.json").exists()
 
     def test_lambda_max_gives_empty_graph(self, tmp_path):
         sim = simulate(tmp_path)

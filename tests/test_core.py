@@ -26,7 +26,7 @@ from iggl import (
 )
 import iggl.core
 from iggl.core import _prepare, spectral_norm
-from iggl.losses import kernel_value
+from iggl.losses import check_domain, kernel_value
 
 from helpers import ALL_KINDS, loss_map_for, synth_data
 
@@ -271,36 +271,39 @@ class TestIntercepts:
 class TestPoissonPreprocess:
     def test_intercept_and_scale(self):
         Y = np.column_stack([np.array([1.0, 2.0, 3.0]), np.zeros(3)])
-        infos, losses = poisson_preprocess(Y, [0])
-        assert infos[0].a == pytest.approx(np.log(6.0))
-        assert infos[0].count_total == 6.0
+        losses = poisson_preprocess(Y, [0])
+        assert estimate_intercepts(Y[:, :1], (losses[0],))[0] == pytest.approx(np.log(6.0))
+        assert losses[0].params["count_total"] == 6.0
         assert losses[0].scale_factor == pytest.approx(2.0 / 6.0)
         assert losses[0].lipschitz == 1.0
 
     def test_uniform_softmax_gradient(self):
         y = np.array([1.0, 2.0, 3.0])
         Y = y[:, None]
-        _, losses = poisson_preprocess(Y, [0])
+        losses = poisson_preprocess(Y, [0])
         from iggl import loss_grad
 
         g = loss_grad(losses[0], np.zeros(3), y)
         ck = 6.0
         assert np.allclose(g, (2.0 / ck) * (-y + ck / 3.0), atol=1e-12)
 
+    # fit checks every column once, before poisson_preprocess, which assumes checked columns
+    @staticmethod
+    def fit_count_column(y):
+        Y = np.column_stack([y, np.arange(len(y), dtype=float)])
+        return fit(FitProblem(Y=Y, losses=(ColumnLoss("poisson_reparam", {}), make_loss("quadratic")), lam=0.1))
+
     def test_zero_column_rejected(self):
-        Y = np.zeros((4, 1))
-        with pytest.raises(ValueError, match="sums to zero"):
-            poisson_preprocess(Y, [0])
+        with pytest.raises(ValueError, match="^column 0: count column sums to zero"):
+            self.fit_count_column(np.zeros(4))
 
     def test_fractional_rejected(self):
-        Y = np.array([[0.5], [1.0]])
-        with pytest.raises(ValueError, match="integer"):
-            poisson_preprocess(Y, [0])
+        with pytest.raises(ValueError, match="^column 0: .*integer"):
+            self.fit_count_column(np.array([0.5, 1.0]))
 
     def test_negative_rejected(self):
-        Y = np.array([[-1.0], [1.0]])
-        with pytest.raises(ValueError, match="integer"):
-            poisson_preprocess(Y, [0])
+        with pytest.raises(ValueError, match="^column 0: .*integer"):
+            self.fit_count_column(np.array([-1.0, 1.0]))
 
     def test_gradient_matches_finite_differences(self):
         from iggl import loss_grad, loss_value
@@ -312,8 +315,7 @@ class TestPoissonPreprocess:
             y = rng.poisson(2.0, n).astype(float)
             if y.sum() == 0:
                 y[0] = 1.0
-            _, losses = poisson_preprocess(y[:, None], [0])
-            loss = losses[0]
+            loss = poisson_preprocess(y[:, None], [0])[0]
             th = rng.standard_normal(n)
             g = loss_grad(loss, th, y)
             h = 1e-6
@@ -332,11 +334,11 @@ class TestPoissonPreprocess:
             y = rng.poisson(3.0, n).astype(float)
             if y.sum() == 0:
                 y[0] = 1.0
-            infos, losses = poisson_preprocess(y[:, None], [0])
+            losses = poisson_preprocess(y[:, None], [0])
             th = rng.standard_normal(n)
             p = np.exp(th - th.max())
             p /= p.sum()
-            H = losses[0].scale_factor * infos[0].count_total * (np.diag(p) - np.outer(p, p))
+            H = losses[0].scale_factor * losses[0].params["count_total"] * (np.diag(p) - np.outer(p, p))
             worst = max(worst, float(np.linalg.eigvalsh(H)[-1]))
         assert worst <= 1.0 + 1e-8
 
@@ -477,6 +479,28 @@ class TestFit:
         assert _prepare(replace(prob, equalize_lipschitz=False)).losses[1].lipschitz == 0.25
         F = np.asarray(fit(prepared).state.F_trace)
         assert np.all(np.diff(F) <= 1e-9 * (1.0 + np.abs(F[:-1])))
+
+    def test_domain_checked_once_per_column(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(iggl.core, "check_domain", lambda kind, y: calls.append(kind) or check_domain(kind, y))
+        Y = synth_data("poisson_reparam", 4, 100, seed=9)
+        fit(FitProblem(Y=Y, losses=loss_map_for("poisson_reparam", Y), lam=0.02, max_outer=5))
+        assert calls == ["poisson_reparam"] * 4
+
+    def test_understated_bound_rejected(self):
+        # fit trusts a stored bound for its unit step; ColumnLoss's default 1.0 understates
+        # these two, and with it the objective of this fit would rise at most steps
+        Y = synth_data("lorenz", 6, 300, seed=0)
+        prob = FitProblem(Y=Y, losses=(), lam=0.05, outer_tol=0.0, max_outer=20)
+        for bad in (ColumnLoss("lorenz", {}), ColumnLoss("huberized_hinge", {"c": 0.1})):
+            with pytest.raises(ValueError, match=f"^column 0: {bad.kind} loss states gradient-Lipschitz bound 1 "):
+                fit(replace(prob, losses=(bad,) * 6))
+        # a result's own losses are accepted back: rescaled to bound 1.0, where the bound
+        # recomputed from this one's scale is one ulp above 1.0
+        for good in (make_loss("lorenz"), make_loss("huberized_hinge", scale_factor=0.72, c=0.13)):
+            res = fit(replace(prob, losses=(good,) * 6))
+            assert res.losses[0].lipschitz == 1.0
+            fit(replace(prob, losses=res.losses))
 
     def test_out_of_domain_label_names_column(self):
         Y = synth_data("bernoulli", 3, 30, seed=16)
