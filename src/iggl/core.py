@@ -32,6 +32,11 @@ state).  Everything but the penalty (domain checks, count reparameterization,
 intercepts and M, loss scaling, W0, phi) is resolved once, by ``_prepare``,
 into a :class:`PreparedProblem` that a whole penalty path shares.
 
+``fit`` allocates its n x m arrays once (Theta, Xi, two scratch arrays) and
+passes them to every step as ``out=``/``work=``; without them each step
+returns a fresh array.  Each inner solve starts from the previous estimate,
+reusing its inverse and log det.
+
 phi is fixed for the whole run at ``phi_c / ||W0||_2``, the largest entry
 of the diagonal W0.  A warm start and every iterate must keep ``I - phi*W``
 positive semi-definite; :func:`theta_update` checks this exactly, by a
@@ -50,6 +55,7 @@ from .losses import (
     batch_grad,
     batch_value,
     check_domain,
+    check_params,
     default_lipschitz,
     force_unit_lipschitz,
     kernel_value,
@@ -142,18 +148,21 @@ def choose_phi(W0, c) -> float:
     return c / float(np.max(np.diag(W0)))
 
 
-def xi_update(Theta, Y, losses) -> np.ndarray:
-    """One unit gradient step on the summed marginal loss: Theta - grad."""
-    return np.asarray(Theta, dtype=float) - batch_grad(losses, Theta, Y)
+def xi_update(Theta, Y, losses, out=None) -> np.ndarray:
+    """One unit gradient step on the summed marginal loss: Theta - grad (into ``out``, not Theta)."""
+    G = batch_grad(losses, Theta, Y, out=out)
+    return np.subtract(np.asarray(Theta, dtype=float), G, out=G)
 
 
-def theta_update(Xi, M, W, phi) -> np.ndarray:
+def theta_update(Xi, M, W, phi, out=None, work=None) -> np.ndarray:
     """Blend the mean into the gradient-step image: M W phi + Xi (I - phi W).
 
     Requires I - phi W >= 0 (so the implicit shift decomposition stays
     valid), checked exactly by a Cholesky factorization of
-    (1 + 1e-12)/phi I - W; violation raises.  For a positive definite W this
-    is phi * ||W||_2 <= 1.  No matrix square roots are formed.
+    (1 + 1e-12)/phi I - W; violation raises before anything is written.
+    For a positive definite W this is phi * ||W||_2 <= 1.  No matrix square
+    roots are formed.  The result goes into ``out`` and M - Xi into
+    ``work`` when given (not Xi).
     """
     Xi = np.asarray(Xi, dtype=float)
     M = np.asarray(M, dtype=float)
@@ -162,17 +171,18 @@ def theta_update(Xi, M, W, phi) -> np.ndarray:
         np.linalg.cholesky(((1.0 + 1e-12) / phi) * np.eye(W.shape[0]) - W)
     except np.linalg.LinAlgError:
         raise ValueError("feasibility violated: phi * ||W||_2 > 1") from None
-    return Xi + phi * ((M - Xi) @ W)
+    P = np.matmul(np.subtract(M, Xi, out=work), W, out=out)
+    return np.add(np.multiply(P, phi, out=P), Xi, out=P)
 
 
-def outer_objective(S, Theta, W, phi, lam, Y, losses, penalize_diagonal=False) -> float:
+def outer_objective(S, Theta, W, phi, lam, Y, losses, penalize_diagonal=False, out=None, work=None) -> float:
     """Value of the full criterion at the current loop variables.
 
     The auxiliary shift never appears: its quadratic penalty
     Tr{(Xi - M)(I - phi W) W (Xi - M)^T} / 2 equals
     n/2 [tr(SW) - phi tr(SW^2)] with S = (Xi - M)^T (Xi - M) / n, the
     cross-product of the same iteration, so it costs m x m products
-    instead of n x m ones.
+    instead of n x m ones.  ``out`` and ``work`` are :func:`batch_value`'s.
     """
     n = np.asarray(Y).shape[0]
     SW = np.asarray(S, dtype=float) @ W
@@ -180,7 +190,7 @@ def outer_objective(S, Theta, W, phi, lam, Y, losses, penalize_diagonal=False) -
     pen = np.sum(np.abs(W))
     if not penalize_diagonal:
         pen -= np.sum(np.abs(np.diag(W)))
-    lbar = batch_value(losses, Theta, Y)
+    lbar = batch_value(losses, Theta, Y, out=out, work=work)
     return float(lbar / phi + quad - 0.5 * n * log_det_pd(W) + 0.5 * n * lam * pen)
 
 
@@ -219,10 +229,11 @@ def estimate_intercepts(Y, losses) -> np.ndarray:
     if len(losses) != m:
         raise ValueError("expected one loss per column")
     alpha = np.empty(m)
+    quadratic = [k for k, loss in enumerate(losses) if loss.kind == "quadratic"]
+    alpha[quadratic] = np.mean(np.ascontiguousarray(Y[:, quadratic].T), axis=1)
     for k, loss in enumerate(losses):
         y = Y[:, k]
         if loss.kind == "quadratic":
-            alpha[k] = float(np.mean(y))
             continue
         if loss.kind == "poisson_reparam":
             alpha[k] = float(np.log(np.sum(y)))
@@ -300,6 +311,8 @@ def _prepare(problem) -> PreparedProblem:
     for k, loss in enumerate(losses):
         try:
             check_domain(loss.kind, Y[:, k])
+            if loss.kind != "poisson_reparam":
+                check_params(loss.kind, loss.params)
         except ValueError as exc:
             raise ValueError(f"column {k}: {exc}") from None
         # the unit step trusts a stored bound; the tolerance admits a rescaled bound of 1.0 that
@@ -337,9 +350,9 @@ def _prepare(problem) -> PreparedProblem:
     return PreparedProblem(problem, Y, losses, M, alpha, W0, phi)
 
 
-def cross_product(Xi, M) -> np.ndarray:
-    """The surrogate cross-product S = sym((Xi - M)^T (Xi - M) / n)."""
-    E = Xi - M
+def cross_product(Xi, M, out=None) -> np.ndarray:
+    """The surrogate cross-product S = sym((Xi - M)^T (Xi - M) / n); Xi - M goes into ``out`` when given."""
+    E = np.subtract(Xi, M, out=out)
     S = (E.T @ E) / E.shape[0]
     return 0.5 * (S + S.T)
 
@@ -375,37 +388,38 @@ def fit(problem, W_init=None) -> FitResult:
         raise ValueError("lambda must be finite and nonnegative")
 
     W = prepared.W0 if W_init is None else 0.5 * (np.asarray(W_init, dtype=float) + np.asarray(W_init, dtype=float).T)
-    Theta = theta_update(Y, M, W, phi)  # raises if W_init is not feasible
-    state = IterState(Theta=Theta, Xi=Y.copy(), W=W)
+    # this fit's n x m arrays, written in place by every step
+    Xi, A, B = Y.copy(), np.empty(Y.shape), np.empty(Y.shape)
+    Theta = theta_update(Y, M, W, phi, out=np.empty(Y.shape), work=A)  # raises if W_init is not feasible
+    state = IterState(Theta=Theta, Xi=Xi, W=W)
 
-    def block_step(Xi, S, W, tol):
-        """Inner solve on S from W to KKT residual ``tol``, then Theta and F."""
+    def block_step(S, start, tol):
+        """Inner solve on S from ``start`` (a W or an estimate) to KKT residual ``tol``, then Theta and F."""
         inst = GGLInstance(S, lam, problem.penalize_diagonal, tol, problem.inner_max_iter)
-        est = solve_ggl(inst, W_init=W)
+        est = solve_ggl(inst, W_init=start)
         try:
-            Theta = theta_update(Xi, M, est.W, phi)
+            theta_update(Xi, M, est.W, phi, out=Theta, work=A)
         except ValueError:
             raise RuntimeError(
                 "inner solver returned W with phi * ||W||_2 > 1; feasibility of "
                 "the shift decomposition is violated (phi stays at its initial value)"
             ) from None
-        F = outer_objective(S, Theta, est.W, phi, lam, Y, losses, problem.penalize_diagonal)
-        return est, Theta, F
+        return est, outer_objective(S, Theta, est.W, phi, lam, Y, losses, problem.penalize_diagonal, out=A, work=B)
 
     outer_converged = False
     rel = 0.0
     for k in range(1, problem.max_outer + 1):
-        Xi = xi_update(Theta, Y, losses)
-        S = cross_product(Xi, M)
+        xi_update(Theta, Y, losses, out=Xi)
+        S = cross_product(Xi, M, out=A)
         # inexact block step: solve only as tightly as the objective still moves
         tol = max(problem.inner_tol, rel)
-        est, Theta, F = block_step(Xi, S, W, tol)
+        est, F = block_step(S, est if k > 1 else W, tol)
         W = est.W
         state.F_trace.append(F)
         state.inner_iterations.append(est.iterations)
         state.inner_tols.append(tol)
         state.inner_kkt.append(est.kkt_residual)
-        state.Theta, state.Xi, state.S, state.W, state.k = Theta, Xi, S, W, k
+        state.S, state.W, state.k = S, W, k
         if k >= 2:
             rel = abs(F - F_prev) / (1.0 + abs(F_prev))
             if rel < problem.outer_tol:
@@ -416,12 +430,12 @@ def fit(problem, W_init=None) -> FitResult:
     if est.kkt_residual > problem.inner_tol:
         # polish: one full-tolerance solve of the last block, a further
         # descent that replaces the last trace entry rather than adding one
-        est, Theta, F = block_step(Xi, S, W, problem.inner_tol)
+        est, F = block_step(S, est, problem.inner_tol)
         state.F_trace[-1] = F
         state.inner_iterations[-1] += est.iterations
         state.inner_tols[-1] = problem.inner_tol
         state.inner_kkt[-1] = est.kkt_residual
-        state.Theta, state.W = Theta, est.W
+        state.W = est.W
 
     return FitResult(estimate=est, state=state, phi=phi, lam=lam, converged=outer_converged and est.converged,
                      intercepts=prepared.intercepts, M=M, losses=losses)

@@ -57,6 +57,9 @@ class PrecisionEstimate:
     iterations: int
     converged: bool
     objective_trace: np.ndarray = field(default_factory=lambda: np.empty(0))
+    # W's inverse and log det (None for lam == 0), reused by a solve warm started from this estimate
+    W_inv: np.ndarray | None = None
+    log_det: float | None = None
 
 
 def log_det_pd(W) -> float:
@@ -83,11 +86,13 @@ def _penalty_weights(m, lam, penalize_diagonal):
 def ggl_objective(S, W, lam, penalize_diagonal=False) -> float:
     """Tr(S W) - log det W + lam * l1(W) with the configured penalty span."""
     W = np.asarray(W, dtype=float)
-    return _objective(np.asarray(S, dtype=float), W, _penalty_weights(W.shape[0], lam, penalize_diagonal))
+    return _objective(np.asarray(S, dtype=float), W, _penalty_weights(W.shape[0], lam, penalize_diagonal))[0]
 
 
-def _objective(S, W, lamP):
-    return float(np.vdot(S, W)) - log_det_pd(W) + float(np.vdot(lamP, np.abs(W)))
+def _objective(S, W, lamP, log_det=None):
+    """The objective and log det W, factored unless ``log_det`` is given."""
+    log_det = log_det_pd(W) if log_det is None else log_det
+    return float(np.vdot(S, W)) - log_det + float(np.vdot(lamP, np.abs(W))), log_det
 
 
 def kkt_residual(S, W, lam, penalize_diagonal=False) -> float:
@@ -154,6 +159,7 @@ def solve_ggl(inst: GGLInstance, W_init=None) -> PrecisionEstimate:
 
     Warm starts from ``W_init`` when given (must be symmetric positive
     definite), otherwise from ``diag(1/(S_ii + lam*penalize_diagonal))``.
+    ``W_init`` may also be an earlier estimate: its W is exactly symmetric.
     With ``lam == 0`` the exact solution ``S^{-1}`` is returned directly,
     requiring S to be nonsingular.
 
@@ -182,8 +188,11 @@ def solve_ggl(inst: GGLInstance, W_init=None) -> PrecisionEstimate:
     if np.any(diag_target <= 0):
         raise ValueError("S has a nonpositive diagonal entry; objective is unbounded")
 
+    Winv = log_det = None
     if W_init is None:
         W = np.diag(1.0 / diag_target)
+    elif isinstance(W_init, PrecisionEstimate):
+        W, Winv, log_det = W_init.W, W_init.W_inv, W_init.log_det
     else:
         W = np.asarray(W_init, dtype=float)
         if W.shape != S.shape:
@@ -192,13 +201,13 @@ def solve_ggl(inst: GGLInstance, W_init=None) -> PrecisionEstimate:
             raise ValueError("W_init must be symmetric")
         W = 0.5 * (W + W.T)
     try:
-        F = _objective(S, W, lamP)
+        F, log_det = _objective(S, W, lamP, log_det)
     except ValueError:
         raise ValueError("W_init must be positive definite") from None
 
     trace = []
     for it in range(inst.max_iter + 1):
-        Winv = np.linalg.inv(W)
+        Winv = np.linalg.inv(W) if Winv is None else Winv
         Sigma = 0.5 * (Winv + Winv.T)
         g = _min_norm_subgradient(S - Sigma, W, lamP)
         kkt = float(np.abs(g).max())
@@ -214,13 +223,13 @@ def solve_ggl(inst: GGLInstance, W_init=None) -> PrecisionEstimate:
             Wt = W + alpha * D
             Wt = np.where(Wt * orthant > 0.0, Wt, 0.0)
             try:
-                F_t = _objective(S, Wt, lamP)  # one Cholesky
+                F_t, log_det_t = _objective(S, Wt, lamP)  # one Cholesky
             except ValueError:
                 F_t = np.inf
             if F_t <= F + _ARMIJO * float(np.vdot(g, Wt - W)) + _DECREASE_SLACK * max(1.0, abs(F)):
                 break
         else:
             raise RuntimeError("no positive definite descent step found after step-halving")
-        W, F = Wt, F_t
+        W, F, log_det, Winv = Wt, F_t, log_det_t, None
 
-    return PrecisionEstimate(W, trace[-1], kkt, it, converged, np.asarray(trace))
+    return PrecisionEstimate(W, trace[-1], kkt, it, converged, np.asarray(trace), Winv, log_det)

@@ -17,8 +17,9 @@ Each formula is written once, as a per-kind kernel.  The single-column
 kind's domain (:func:`check_domain`) before calling it.  The whole-matrix
 :func:`batch_value` and :func:`batch_grad` make one kernel call per loss
 kind and assume in-domain data: ``fit`` checks each column once.  Kernels
-that work in place write only into arrays they allocate themselves, so
-read-only or shared inputs are never modified.
+that work in place write only into arrays they allocate themselves or, for
+the Bernoulli and quadratic kinds, arrays the caller passes as ``out=`` and
+``work=``; inputs are never modified.
 
 All operations here are pure functions of their arguments; ``ColumnLoss``
 values are safe to share across threads.
@@ -102,17 +103,18 @@ def make_loss(kind, scale_factor=1.0, **params) -> ColumnLoss:
         raise ValueError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
     if scale_factor <= 0:
         raise ValueError("scale_factor must be positive")
-    unknown = set(params) - set(_KERNELS[kind][2])
-    if unknown:
-        raise ValueError(f"{kind}: unknown parameters {sorted(unknown)}")
     if kind == "huberized_hinge":
         params.setdefault("c", 1.0)
-    _validate_params(kind, params)
+    check_params(kind, params)
     lips = scale_factor * default_lipschitz(kind, params)
     return ColumnLoss(kind=kind, params=params, scale_factor=scale_factor, lipschitz=lips)
 
 
-def _validate_params(kind, params):
+def check_params(kind, params):
+    """Raise ``ValueError`` unless ``params`` are exactly valid parameters of ``kind``."""
+    unknown = set(params) - set(_KERNELS[kind][2])
+    if unknown:
+        raise ValueError(f"{kind}: unknown parameters {sorted(unknown)}")
     if kind in ("huber", "tukey", "huberized_hinge"):
         if params.get("c", 0.0) <= 0:
             raise ValueError(f"{kind} requires a positive cutoff c")
@@ -209,12 +211,19 @@ def _lorenz_grad(theta, y):
     return y * np.where(u <= 0.0, 2.0 * u / (1.0 + u * u), 0.0)
 
 
-def _bernoulli_value(theta, y):
+def _quadratic_value(theta, y, out=None, work=None):
+    t = np.subtract(theta, y, out=out)
+    t *= t
+    t *= 0.5
+    return t
+
+
+def _bernoulli_value(theta, y, out=None, work=None):
     # (max(theta, 0) - y theta) + log1p(exp(-|theta|)): the first term is
     # exact for 0/1 labels, so nothing cancels when the deviance is small
     shape = np.broadcast_shapes(np.shape(theta), np.shape(y))
-    lin = np.maximum(theta, 0.0, out=np.empty(shape))
-    out = np.multiply(y, theta, out=np.empty(shape))
+    lin = np.maximum(theta, 0.0, out=np.empty(shape) if work is None else work)
+    out = np.multiply(y, theta, out=np.empty(shape) if out is None else out)
     lin -= out
     np.abs(theta, out=out)
     np.negative(out, out=out)
@@ -224,9 +233,10 @@ def _bernoulli_value(theta, y):
     return out
 
 
-def _bernoulli_grad(theta, y):
+def _bernoulli_grad(theta, y, out=None):
     # 0.5 (1 + tanh(theta / 2)) - y, the sigmoid in an overflow-safe form
-    out = np.multiply(theta, 0.5, out=np.empty(np.broadcast_shapes(np.shape(theta), np.shape(y))))
+    shape = np.broadcast_shapes(np.shape(theta), np.shape(y))
+    out = np.multiply(theta, 0.5, out=np.empty(shape) if out is None else out)
     np.tanh(out, out=out)
     out += 1.0
     out *= 0.5
@@ -253,7 +263,7 @@ def _poisson_grad(theta, y, count_total):
 
 # kind -> (value kernel, gradient kernel, parameter names)
 _KERNELS = {
-    "quadratic": (lambda theta, y: 0.5 * (theta - y) ** 2, lambda theta, y: theta - y, ()),
+    "quadratic": (_quadratic_value, lambda theta, y, out=None: np.subtract(theta, y, out=out), ()),
     "bernoulli": (_bernoulli_value, _bernoulli_grad, ()),
     "huber": (_huber_value, _huber_grad, ("c",)),
     "tukey": (_tukey_value, _tukey_grad, ("c",)),
@@ -263,6 +273,8 @@ _KERNELS = {
     "poisson_reparam": (_poisson_value, _poisson_grad, ("count_total",)),
 }
 _VALUE, _GRAD = 0, 1
+# kinds whose kernels write into arrays passed as out= (and work= for the value)
+_IN_PLACE = ("quadratic", "bernoulli")
 
 
 def check_domain(kind, y):
@@ -316,12 +328,12 @@ def loss_grad(loss: ColumnLoss, theta, y):
 def _column_op(op, loss, theta, y):
     theta = np.asarray(theta, dtype=float)
     y = np.asarray(y, dtype=float)
+    check_domain(loss.kind, y)
     if loss.kind == "poisson_reparam":
         if theta.ndim != 1 or y.ndim != 1:
             raise ValueError("poisson_reparam is a column-level loss; pass 1-d vectors")
         out = _block_op(op, (loss,), theta[:, None], y[:, None])
         return float(out[0]) if op == _VALUE else out[:, 0]
-    check_domain(loss.kind, y)
     kernel = _KERNELS[loss.kind]
     out = loss.scale_factor * kernel[op](theta, y, *(loss.params[p] for p in kernel[2]))
     return float(out) if out.ndim == 0 else out
@@ -338,12 +350,13 @@ def kernel_value(loss: ColumnLoss, theta, y):
     return loss.scale_factor * value(theta, y, *(loss.params[p] for p in names))
 
 
-def _block_op(op, losses, theta, y):
-    """Scaled kernel ``op`` on an (n, p) block of columns of one kind."""
+def _block_op(op, losses, theta, y, **buffers):
+    """Scaled kernel ``op`` on an (n, p) block of columns of one kind, into ``buffers`` if ``_IN_PLACE``."""
     kernels = _KERNELS[losses[0].kind]
     params = [np.array([loss.params[p] for loss in losses]) for p in kernels[2]]
     scale = np.array([loss.scale_factor for loss in losses])
-    return scale * kernels[op](theta, y, *params)
+    r = kernels[op](theta, y, *params, **(buffers if losses[0].kind in _IN_PLACE else {}))
+    return np.multiply(r, scale, out=r)
 
 
 def scale_to_unit_lipschitz(loss: ColumnLoss) -> ColumnLoss:
@@ -422,30 +435,31 @@ def loss_from_config(kind, params=None, column=None) -> ColumnLoss:
     return make_loss(kind, **params)
 
 
-def batch_value(losses, Theta, Y) -> float:
+def batch_value(losses, Theta, Y, out=None, work=None) -> float:
     """Sum of the per-column scaled losses over the whole matrix.
 
     One kernel call per loss kind.  Unlike :func:`loss_value` this does not
     check that each column of ``Y`` lies in its kind's domain: ``fit``
-    checks every column once before its loop.
+    checks every column once before its loop.  ``out`` and ``work`` (Theta's
+    shape) are scratch for the values of a single in-place kind.
     """
     Theta, Y, groups = _check_batch(losses, Theta, Y)
     if len(groups) == 1:
-        return float(np.sum(_block_op(_VALUE, losses, Theta, Y)))
+        return float(np.sum(_block_op(_VALUE, losses, Theta, Y, out=out, work=work)))
     return float(sum(np.sum(_block_op(_VALUE, group, Theta[:, cols], Y[:, cols])) for cols, group in groups))
 
 
-def batch_grad(losses, Theta, Y) -> np.ndarray:
+def batch_grad(losses, Theta, Y, out=None) -> np.ndarray:
     """Gradient of :func:`batch_value` with respect to ``Theta``.
 
     Entrywise per column; column-wise for ``poisson_reparam`` columns.  One
     kernel call per loss kind, on data assumed in-domain as for
-    :func:`batch_value`.
+    :func:`batch_value`.  Written into ``out`` when given (not ``Theta``).
     """
     Theta, Y, groups = _check_batch(losses, Theta, Y)
-    if len(groups) == 1:
-        return _block_op(_GRAD, losses, Theta, Y)
-    G = np.empty_like(Theta)
+    if len(groups) == 1 and (out is None or losses[0].kind in _IN_PLACE):
+        return _block_op(_GRAD, losses, Theta, Y, out=out)
+    G = np.empty_like(Theta) if out is None else out
     for cols, group in groups:
         G[:, cols] = _block_op(_GRAD, group, Theta[:, cols], Y[:, cols])
     return G

@@ -8,14 +8,20 @@ import numpy as np
 
 from iggl import (
     ColumnLoss,
+    GGLInstance,
     GraphPattern,
     kkt_residual,
     make_loss,
     make_precision,
+    outer_objective,
     robust_scale,
     sample_gaussian,
     sample_glm,
+    solve_ggl,
+    theta_update,
+    xi_update,
 )
+from iggl.core import _prepare, cross_product
 
 ALL_KINDS = (
     "quadratic",
@@ -66,6 +72,54 @@ def synth_data(kind, m, n, seed, mu=0.0):
     if kind in ("huberized_hinge", "lorenz"):
         return 2.0 * sample_glm(n, W_star, "bernoulli", mu=mu, seed=seed) - 1.0
     return sample_gaussian(n, W_star, mu=mu, seed=seed)
+
+def reference_fit(problem, W_init=None):
+    """``fit``'s outer loop written with the allocating public functions.
+
+    Every step returns a fresh array and every inner solve is warm started
+    from a plain W, so ``fit`` (which writes into per-fit arrays and reuses
+    each solve's inverse and log det) must agree with it bit for bit.
+    Returns W, F_trace, Theta, Xi, S, converged and whether the last block
+    was polished.
+    """
+    p = _prepare(problem)
+    prob, Y, losses, M, phi = p.problem, p.Y, p.losses, p.M, p.phi
+    W = p.W0 if W_init is None else 0.5 * (W_init + W_init.T)
+    Theta = theta_update(Y, M, W, phi)
+
+    def block(Xi, S, W, tol):
+        est = solve_ggl(GGLInstance(S, prob.lam, prob.penalize_diagonal, tol, prob.inner_max_iter), W_init=W)
+        Theta = theta_update(Xi, M, est.W, phi)
+        return est, Theta, outer_objective(S, Theta, est.W, phi, prob.lam, Y, losses, prob.penalize_diagonal)
+
+    F_trace, rel, outer_converged = [], 0.0, False
+    for k in range(1, prob.max_outer + 1):
+        Xi = xi_update(Theta, Y, losses)
+        S = cross_product(Xi, M)
+        est, Theta, F = block(Xi, S, W, max(prob.inner_tol, rel))
+        W = est.W
+        F_trace.append(F)
+        if k >= 2:
+            rel = abs(F - F_trace[-2]) / (1.0 + abs(F_trace[-2]))
+            if rel < prob.outer_tol:
+                outer_converged = True
+                break
+    polished = est.kkt_residual > prob.inner_tol
+    if polished:
+        est, Theta, F_trace[-1] = block(Xi, S, W, prob.inner_tol)
+    return {"W": est.W, "F_trace": F_trace, "Theta": Theta, "Xi": Xi, "S": S,
+            "converged": outer_converged and est.converged, "polished": polished}
+
+
+def assert_fit_equals_reference(res, ref):
+    """Bit-for-bit agreement of a ``fit`` result with :func:`reference_fit`."""
+    st = res.state
+    got = {"W": res.estimate.W, "F_trace": st.F_trace, "Theta": st.Theta, "Xi": st.Xi, "S": st.S}
+    for name, value in got.items():
+        assert np.array_equal(np.asarray(value), np.asarray(ref[name])), name
+    assert np.array_equal(st.W, ref["W"])
+    assert res.converged == ref["converged"]
+
 
 # inner-solver oracles, deliberately independent of the production solver
 # so they can certify it

@@ -25,10 +25,10 @@ from iggl import (
     xi_update,
 )
 import iggl.core
-from iggl.core import _prepare, spectral_norm
+from iggl.core import _prepare, cross_product, spectral_norm
 from iggl.losses import check_domain, kernel_value
 
-from helpers import ALL_KINDS, loss_map_for, synth_data
+from helpers import ALL_KINDS, assert_fit_equals_reference, loss_map_for, reference_fit, synth_data
 
 
 def quad_map(m):
@@ -79,6 +79,18 @@ class TestXiUpdate:
         losses = (make_loss("huber", c=1.0), make_loss("tukey", c=2.0))
         assert np.array_equal(xi_update(Y, Y, losses), Y)
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_out_array_matches_fresh_result(self, kind):
+        Y = synth_data(kind, 3, 40, seed=31)
+        p = _prepare(FitProblem(Y=Y, losses=loss_map_for(kind, Y), lam=0.1))
+        Theta = p.Y + np.random.default_rng(1).standard_normal(Y.shape)
+        Theta0 = Theta.copy()
+        out = np.full(Y.shape, np.nan)
+        assert xi_update(Theta, p.Y, p.losses, out=out) is out
+        assert np.array_equal(out, xi_update(Theta, p.Y, p.losses))
+        assert np.array_equal(Theta, Theta0)
+        assert np.array_equal(cross_product(out, p.M, out=np.empty(Y.shape)), cross_product(out, p.M))
+
     def test_bernoulli_at_zero(self):
         Y = np.array([[0.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
         losses = (make_loss("bernoulli"), make_loss("bernoulli"))
@@ -107,6 +119,21 @@ class TestThetaUpdate:
         M = np.ones((4, 2))
         out = theta_update(Xi, M, np.eye(2), 0.5)
         assert np.allclose(out, 0.5 * M, atol=1e-15)
+
+    def test_out_array_matches_fresh_result(self):
+        rng = np.random.default_rng(2)
+        Xi, M = rng.standard_normal((30, 4)), rng.standard_normal((30, 4))
+        W = np.eye(4) + 0.1 * np.ones((4, 4))
+        Xi0, out, work = Xi.copy(), np.empty((30, 4)), np.empty((30, 4))
+        assert theta_update(Xi, M, W, 0.5, out=out, work=work) is out
+        assert np.array_equal(out, theta_update(Xi, M, W, 0.5))
+        assert np.array_equal(out, Xi + 0.5 * ((M - Xi) @ W))
+        assert np.array_equal(Xi, Xi0)
+        # an infeasible W raises before anything is written
+        out[:] = 7.0
+        with pytest.raises(ValueError, match="feasibility"):
+            theta_update(Xi, M, 3.0 * W, 0.5, out=out, work=work)
+        assert np.all(out == 7.0)
 
     def test_feasibility_contract(self):
         with pytest.raises(ValueError):
@@ -206,6 +233,14 @@ class TestIntercepts:
         Y = np.array([[1.0, 5.0], [3.0, 7.0]])
         alpha = estimate_intercepts(Y, quad_map(2))
         assert np.allclose(alpha, [2.0, 6.0])
+
+    def test_quadratic_means_match_per_column_means(self):
+        rng = np.random.default_rng(3)
+        for n, m in ((2, 2), (7, 3), (1000, 60), (333, 5)):
+            Y = 10.0 * rng.standard_normal((n, m)) + rng.standard_normal(m)
+            for data in (Y, np.asfortranarray(Y)):
+                alpha = estimate_intercepts(data, quad_map(m))
+                assert np.array_equal(alpha, [np.mean(data[:, k]) for k in range(m)])
 
     def test_bernoulli_balanced(self):
         Y = np.column_stack([np.array([0.0, 1.0, 0.0, 1.0]), np.array([1.0, 1.0, 0.0, 0.0])])
@@ -502,6 +537,17 @@ class TestFit:
             assert res.losses[0].lipschitz == 1.0
             fit(replace(prob, losses=res.losses))
 
+    @pytest.mark.parametrize("bad, message", [
+        (ColumnLoss("huber", {}), "huber requires a positive cutoff c"),
+        (ColumnLoss("huber", {"c": -1.0}), "huber requires a positive cutoff c"),
+        (ColumnLoss("tukey", {"c": 0.0}), "tukey requires a positive cutoff c"),
+        (ColumnLoss("huber", {"c": 1.0, "d": 2.0}), r"huber: unknown parameters \['d'\]"),
+    ])
+    def test_hand_built_loss_parameters_checked(self, bad, message):
+        Y = synth_data("quadratic", 2, 20, seed=4)
+        with pytest.raises(ValueError, match=f"^column 1: {message}"):
+            fit(FitProblem(Y=Y, losses=(make_loss("quadratic"), bad), lam=0.1))
+
     def test_out_of_domain_label_names_column(self):
         Y = synth_data("bernoulli", 3, 30, seed=16)
         Y[4, 1] = 2.0
@@ -578,3 +624,52 @@ class TestInexactInnerSolves:
         assert res.state.inner_tols[-1] == prob.inner_tol
         assert res.state.inner_kkt[-1] > prob.inner_tol
         assert not res.converged
+
+
+class TestAgainstReferenceLoop:
+    """``fit`` writes into per-fit arrays and reuses each inner solve's factors; the answers do not move."""
+
+    @staticmethod
+    def _at_fraction_of_lambda_max(Y, losses, **options):
+        prob = FitProblem(Y=Y, losses=losses, lam=0.0, **options)
+        lam_max = float(lambda_grid(first_iteration_s(prob), n_points=1)[0])
+        return replace(prob, lam=0.3 * lam_max)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_every_kind(self, kind):
+        Y = synth_data(kind, 4, 80, seed=41)
+        prob = self._at_fraction_of_lambda_max(Y, loss_map_for(kind, Y), max_outer=30)
+        assert_fit_equals_reference(fit(prob), reference_fit(prob))
+
+    def test_mixed_kinds(self):
+        kinds = ("quadratic", "bernoulli", "poisson_reparam", "lorenz", "huber", "hampel")
+        Y = np.column_stack([synth_data(kind, 6, 120, seed=42)[:, k] for k, kind in enumerate(kinds)])
+        losses = tuple(loss_map_for(kind, Y[:, [k]])[0] for k, kind in enumerate(kinds))
+        prob = self._at_fraction_of_lambda_max(Y, losses, max_outer=40)
+        assert_fit_equals_reference(fit(prob), reference_fit(prob))
+
+    def test_run_ending_in_a_polish(self):
+        Y = synth_data("bernoulli", 8, 300, seed=21)
+        prob = self._at_fraction_of_lambda_max(Y, loss_map_for("bernoulli", Y), max_outer=6)
+        ref = reference_fit(prob)
+        assert ref["polished"]
+        assert_fit_equals_reference(fit(prob), ref)
+
+    def test_warm_started_fit(self):
+        Y = synth_data("bernoulli", 5, 200, seed=43)
+        prob = self._at_fraction_of_lambda_max(Y, loss_map_for("bernoulli", Y), max_outer=20)
+        W_init = fit(replace(prob, lam=2.0 * prob.lam)).estimate.W
+        assert_fit_equals_reference(fit(prob, W_init=W_init), reference_fit(prob, W_init=W_init))
+
+    def test_path_fits_keep_their_own_arrays(self):
+        Y = synth_data("bernoulli", 5, 200, seed=44)
+        prob = FitProblem(Y=Y, losses=loss_map_for("bernoulli", Y), lam=0.0, max_outer=15)
+        lambdas = lambda_grid(first_iteration_s(prob), n_points=4)
+        path = iggl.fit_path(prob, lambdas)
+        W_prev = None
+        for lam, res in zip(lambdas, path.fits):
+            # each fit equals its own reference after every later fit of the path has run
+            assert_fit_equals_reference(res, reference_fit(replace(prob, lam=float(lam)), W_init=W_prev))
+            W_prev = res.estimate.W
+        arrays = [a for res in path.fits for a in (res.state.Theta, res.state.Xi, res.estimate.W)]
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])

@@ -227,6 +227,34 @@ class TestSolve:
         assert again.iterations == 0
         assert np.array_equal(again.W, first.W)
 
+    def test_warm_start_from_an_estimate_reuses_its_factors(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        S1 = rand_spd(6, rng)
+        S2 = S1 + 0.05 * rand_spd(6, rng)
+        first = solve_ggl(GGLInstance(S1, 0.1))
+        assert np.array_equal(first.W, first.W.T)
+        assert np.array_equal(first.W_inv, np.linalg.inv(first.W))
+        assert first.log_det == log_det_pd(first.W)
+        counts = {"inv": 0, "cholesky": 0}
+        for name in counts:
+            def counted(*args, _original=getattr(np.linalg, name), _name=name):
+                counts[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(np.linalg, name, counted)
+        runs = []
+        for start in (first.W, first):
+            before = dict(counts)
+            runs.append((solve_ggl(GGLInstance(S2, 0.1), W_init=start), {k: counts[k] - before[k] for k in counts}))
+        (plain, plain_calls), (reused, reused_calls) = runs
+        for name in ("W", "objective", "kkt_residual", "iterations", "objective_trace", "W_inv", "log_det"):
+            assert np.array_equal(getattr(plain, name), getattr(reused, name)), name
+        assert reused_calls == {"inv": plain_calls["inv"] - 1, "cholesky": plain_calls["cholesky"] - 1}
+        # an unpenalized estimate carries no factors; its W is taken like an array
+        exact = solve_ggl(GGLInstance(S1, 0.0))
+        assert exact.W_inv is None and exact.log_det is None
+        assert np.array_equal(solve_ggl(GGLInstance(S2, 0.1), W_init=exact).W,
+                              solve_ggl(GGLInstance(S2, 0.1), W_init=exact.W).W)
+
     def test_agrees_with_dense_oracle(self):
         rng = np.random.default_rng(21)
         for _ in range(5):

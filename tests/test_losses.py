@@ -192,6 +192,15 @@ class TestBatchOps:
         losses = tuple(make_loss("quadratic") for _ in range(3))
         assert np.array_equal(batch_grad(losses, Theta, Y), Theta - Y)
 
+    def test_quadratic_kernels_are_the_literal_forms(self):
+        rng = np.random.default_rng(6)
+        Theta, Y = rng.standard_normal((50, 3)), rng.standard_normal((50, 3))
+        losses = (make_loss("quadratic"), make_loss("quadratic", scale_factor=0.3), make_loss("quadratic"))
+        scale = np.array([1.0, 0.3, 1.0])
+        assert np.array_equal(batch_grad(losses, Theta, Y), scale * (Theta - Y))
+        assert batch_value(losses, Theta, Y) == float(np.sum(scale * (0.5 * (Theta - Y) ** 2)))
+        assert np.array_equal(loss_value(losses[1], Theta[:, 1], Y[:, 1]), 0.3 * (0.5 * (Theta[:, 1] - Y[:, 1]) ** 2))
+
     def test_psi_losses_vanish_at_data(self):
         rng = np.random.default_rng(1)
         Y = rng.standard_normal((5, 3))
@@ -266,6 +275,14 @@ class TestBatchParity:
         expect = sum(float(np.sum(loss_value(loss, Theta[:, k], Y[:, k]))) for k, loss in enumerate(losses))
         assert batch_value(losses, Theta, Y) == pytest.approx(expect, rel=1e-14)
 
+    def test_buffers_give_the_fresh_results(self):
+        losses, Theta, Y = _all_kinds_instance()
+        for group, T, Yb in _blocks(losses, Theta, Y):
+            out, work = np.full(T.shape, np.nan), np.full(T.shape, np.nan)
+            assert batch_grad(group, T, Yb, out=out) is out
+            assert np.array_equal(out, batch_grad(group, T, Yb))
+            assert batch_value(group, T, Yb, out=out, work=work) == batch_value(group, T, Yb)
+
     def test_single_kind_block_equals_column_stack(self):
         losses, Theta, Y = _all_kinds_instance()
         cols = [k for k, loss in enumerate(losses) if loss.kind == "huber"]
@@ -315,19 +332,26 @@ class TestBernoulliKernels:
         assert type(loss_grad(loss, 0.3, 1.0)) is float
 
 
+def _blocks(losses, Theta, Y):
+    """The whole mixed instance, then one block per loss kind."""
+    blocks = [(losses, Theta, Y)]
+    for kind in ALL_KINDS:
+        cols = [k for k, loss in enumerate(losses) if loss.kind == kind]
+        blocks.append((tuple(losses[k] for k in cols), Theta[:, cols].copy(), Y[:, cols].copy()))
+    return blocks
+
+
 class TestReadOnlyInputs:
     def test_kernels_leave_read_only_inputs_unchanged(self):
         losses, Theta, Y = _all_kinds_instance()
-        blocks = [(losses, Theta, Y)]
-        for kind in ALL_KINDS:
-            cols = [k for k, loss in enumerate(losses) if loss.kind == kind]
-            blocks.append((tuple(losses[k] for k in cols), Theta[:, cols].copy(), Y[:, cols].copy()))
-        for group, T, Yb in blocks:
+        for group, T, Yb in _blocks(losses, Theta, Y):
             T0, Y0 = T.copy(), Yb.copy()
             T.flags.writeable = False
             Yb.flags.writeable = False
             batch_value(group, T, Yb)
             batch_grad(group, T, Yb)
+            batch_value(group, T, Yb, out=np.empty(T.shape), work=np.empty(T.shape))
+            batch_grad(group, T, Yb, out=np.empty(T.shape))
             for k, loss in enumerate(group):
                 loss_value(loss, T[:, k], Yb[:, k])
                 loss_grad(loss, T[:, k], Yb[:, k])
@@ -341,6 +365,17 @@ class TestPoissonColumnLoss:
         loss = ColumnLoss("poisson_reparam", {"count_total": 6.0}, scale_factor=2.0 / 6.0)
         with pytest.raises(ValueError):
             loss_value(loss, 1.0, 1.0)
+
+    @pytest.mark.parametrize("y, message", [
+        ([-1.0, 0.5], "count loss requires nonnegative integer entries"),
+        ([1.5, 0.0], "count loss requires nonnegative integer entries"),
+        ([0.0, 0.0], "count column sums to zero"),
+    ])
+    def test_domain_checked_first(self, y, message):
+        loss = ColumnLoss("poisson_reparam", {"count_total": 1.0})
+        for op in (loss_value, loss_grad):
+            with pytest.raises(ValueError, match=message):
+                op(loss, np.zeros(2), np.array(y))
 
     def test_shift_invariance(self):
         loss = ColumnLoss("poisson_reparam", {"count_total": 6.0}, scale_factor=2.0 / 6.0)
