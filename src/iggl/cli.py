@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__
 from .core import FitProblem, _prepare, fit, first_iteration_s
 from .datagen import GENERATOR_ID, GraphPattern, make_precision, sample_gaussian, sample_glm
+from .glasso import check_symmetric
 from .losses import LOSS_KINDS, check_domain, loss_from_config
 from .select import EDGE_EPS, bregman_sym, degrees_of_freedom, edge_metrics, fit_path, lambda_grid
 
@@ -331,10 +332,7 @@ def load_precision_json(path):
     doc = _read_json(path)
     if not isinstance(doc, dict) or "W" not in doc:
         raise InputError(f"{path}: no 'W' entry")
-    W = np.asarray(doc["W"], dtype=float)
-    if W.ndim != 2 or W.shape[0] != W.shape[1]:
-        raise InputError(f"{path}: 'W' must be a square matrix")
-    return W
+    return check_symmetric(doc["W"], f"{path}: 'W'")
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +420,11 @@ def _resolve_seed(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.n < 2:
+        raise InputError("--n must be at least 2")
+    for flag in ("mu", "edge_weight", "diagonal_boost"):
+        if not math.isfinite(getattr(args, flag)):
+            raise InputError(f"--{flag.replace('_', '-')} must be finite")
     seed = _resolve_seed(args)
     pattern = GraphPattern(
         kind=args.pattern,

@@ -34,8 +34,8 @@ into a :class:`PreparedProblem` that a whole penalty path shares.
 
 ``fit`` allocates its n x m arrays once (Theta, Xi, two scratch arrays) and
 passes them to every step as ``out=``/``work=``; without them each step
-returns a fresh array.  Each inner solve starts from the previous estimate,
-reusing its inverse and log det.
+returns a fresh array.  Every inner solve starts from the previous estimate,
+reusing its inverse and log det; the first starts from ``W_init`` or W0.
 
 phi is fixed for the whole run at ``phi_c / ||W0||_2``, the largest entry
 of the diagonal W0.  A warm start and every iterate must keep ``I - phi*W``
@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .glasso import GGLInstance, PrecisionEstimate, log_det_pd, solve_ggl
+from .glasso import GGLInstance, PrecisionEstimate, log_det_pd, solve_ggl, warm_start
 from .losses import (
     batch_grad,
     batch_value,
@@ -106,14 +106,13 @@ class PreparedProblem:
 class IterState:
     """Loop variables of the outer iteration, kept for diagnostics.
 
-    ``S`` is the cross-product on which the returned ``W`` was solved.  The
-    lists hold one entry per outer iteration: the objective, and the inner
-    solve's iteration count, KKT tolerance and final KKT residual.
+    ``S`` is the cross-product on which ``FitResult.estimate`` was solved.
+    The lists hold one entry per outer iteration: the objective, and the
+    inner solve's iteration count, KKT tolerance and final KKT residual.
     """
 
     Theta: np.ndarray
     Xi: np.ndarray
-    W: np.ndarray
     S: np.ndarray | None = None
     F_trace: list = field(default_factory=list)
     k: int = 0
@@ -372,29 +371,29 @@ def fit(problem, W_init=None) -> FitResult:
     """Run the outer loop and return the fitted precision matrix.
 
     ``problem`` may be prepared already (the fits of a path share one).
-    ``W_init`` warm starts the precision iterate (the feasibility scalar phi
-    is always taken from the variance-diagonal initializer so warm and cold
-    runs optimize the same criterion).  Stops when the relative change of
-    the objective trace drops below ``outer_tol`` or after ``max_outer``
-    iterations, whichever comes first, then polishes the last inner solve
-    to ``inner_tol`` if it was solved more loosely (see the module
-    docstring).
+    ``W_init`` warm starts the precision iterate: an earlier estimate, whose
+    inverse and log det the first solve reuses, or a finite symmetric m x m
+    array (:func:`iggl.glasso.warm_start` reads both); it must keep
+    ``I - phi W`` positive semi-definite (phi is always taken from the
+    variance-diagonal initializer so warm and cold runs optimize the same
+    criterion).  Stops when the relative change of the objective trace drops
+    below ``outer_tol`` or after ``max_outer`` iterations, whichever comes
+    first, then polishes the last inner solve to ``inner_tol`` if it was
+    solved more loosely (see the module docstring).
     """
     prepared = _prepare(problem)
     problem = prepared.problem
     Y, losses, M, phi = prepared.Y, prepared.losses, prepared.M, prepared.phi
-    lam = float(problem.lam)
-    if not 0.0 <= lam < np.inf:
-        raise ValueError("lambda must be finite and nonnegative")
+    lam = float(problem.lam)  # checked by solve_ggl
 
-    W = prepared.W0 if W_init is None else 0.5 * (np.asarray(W_init, dtype=float) + np.asarray(W_init, dtype=float).T)
+    est = prepared.W0 if W_init is None else W_init
     # this fit's n x m arrays, written in place by every step
     Xi, A, B = Y.copy(), np.empty(Y.shape), np.empty(Y.shape)
-    Theta = theta_update(Y, M, W, phi, out=np.empty(Y.shape), work=A)  # raises if W_init is not feasible
-    state = IterState(Theta=Theta, Xi=Xi, W=W)
+    Theta = theta_update(Y, M, warm_start(est, Y.shape[1])[0], phi, out=np.empty(Y.shape), work=A)  # checks W_init
+    state = IterState(Theta=Theta, Xi=Xi)
 
     def block_step(S, start, tol):
-        """Inner solve on S from ``start`` (a W or an estimate) to KKT residual ``tol``, then Theta and F."""
+        """Inner solve on S from ``start`` (W0, ``W_init`` or an estimate) to KKT residual ``tol``, then Theta and F."""
         inst = GGLInstance(S, lam, problem.penalize_diagonal, tol, problem.inner_max_iter)
         est = solve_ggl(inst, W_init=start)
         try:
@@ -413,13 +412,12 @@ def fit(problem, W_init=None) -> FitResult:
         S = cross_product(Xi, M, out=A)
         # inexact block step: solve only as tightly as the objective still moves
         tol = max(problem.inner_tol, rel)
-        est, F = block_step(S, est if k > 1 else W, tol)
-        W = est.W
+        est, F = block_step(S, est, tol)
         state.F_trace.append(F)
         state.inner_iterations.append(est.iterations)
         state.inner_tols.append(tol)
         state.inner_kkt.append(est.kkt_residual)
-        state.S, state.W, state.k = S, W, k
+        state.S, state.k = S, k
         if k >= 2:
             rel = abs(F - F_prev) / (1.0 + abs(F_prev))
             if rel < problem.outer_tol:
@@ -435,7 +433,6 @@ def fit(problem, W_init=None) -> FitResult:
         state.inner_iterations[-1] += est.iterations
         state.inner_tols[-1] = problem.inner_tol
         state.inner_kkt[-1] = est.kkt_residual
-        state.W = est.W
 
     return FitResult(estimate=est, state=state, phi=phi, lam=lam, converged=outer_converged and est.converged,
                      intercepts=prepared.intercepts, M=M, losses=losses)

@@ -142,28 +142,57 @@ def _newton_direction(Sigma, g, free):
     return 0.5 * (D + D.T)
 
 
+def check_symmetric(W, name, m=None):
+    """W as a float array; ``ValueError`` naming ``name`` unless square (m x m if given), finite and
+    symmetric to 1e-8 relative."""
+    W = np.asarray(W, dtype=float)
+    if W.ndim != 2 or W.shape[0] != W.shape[1] or m not in (None, W.shape[0]):
+        raise ValueError(f"{name} must be a square matrix{'' if m is None else f' of size {m}'}, got shape {W.shape}")
+    if not np.all(np.isfinite(W)):
+        raise ValueError(f"{name} has non-finite entries")
+    if np.max(np.abs(W - W.T)) > 1e-8 * max(1.0, np.max(np.abs(W))):
+        raise ValueError(f"{name} must be symmetric")
+    return W
+
+
+def warm_start(W_init, m):
+    """W, W^-1 and log det W (None if unknown) to start from: an earlier estimate as it is, an array checked."""
+    if isinstance(W_init, PrecisionEstimate):
+        return W_init.W, W_init.W_inv, W_init.log_det
+    W = check_symmetric(W_init, "W_init", m)
+    return 0.5 * (W + W.T), None, None
+
+
 def _check_instance(inst):
     S = np.asarray(inst.S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ValueError("S must be square")
+    if not np.all(np.isfinite(S)):
+        raise ValueError("S has non-finite entries")
     asym = np.max(np.abs(S - S.T))
     if asym > 1e-12 * max(1.0, np.max(np.abs(S))):
         raise ValueError(f"S is not symmetric (max asymmetry {asym:.3e})")
-    if inst.lam < 0:
-        raise ValueError("lambda must be nonnegative")
+    if not 0.0 <= inst.lam < np.inf:
+        raise ValueError("lambda must be finite and nonnegative")
+    if not 0.0 <= inst.tol < np.inf:  # 0 runs max_iter steps
+        raise ValueError("tol must be finite and nonnegative")
+    if inst.max_iter < 0:
+        raise ValueError("max_iter must be nonnegative")
     return 0.5 * (S + S.T)
 
 
 def solve_ggl(inst: GGLInstance, W_init=None) -> PrecisionEstimate:
     """Minimize the penalized log-det objective to within ``inst.tol`` KKT residual.
 
-    Warm starts from ``W_init`` when given (must be symmetric positive
+    Warm starts from ``W_init`` when given, as :func:`warm_start` reads it
+    (an earlier estimate, or a symmetric array; either must be positive
     definite), otherwise from ``diag(1/(S_ii + lam*penalize_diagonal))``.
-    ``W_init`` may also be an earlier estimate: its W is exactly symmetric.
     With ``lam == 0`` the exact solution ``S^{-1}`` is returned directly,
     requiring S to be nonsingular.
 
-    Raises ``ValueError`` on malformed inputs and ``RuntimeError`` when no
+    Raises ``ValueError`` on malformed inputs (an S that is not square,
+    finite and symmetric, lam or tol outside [0, inf), max_iter below 0, a
+    bad ``W_init``) and ``RuntimeError`` when no
     positive definite descent step can be found after step-halving.  When
     ``max_iter`` is exhausted the best iterate is returned flagged
     ``converged=False``.
@@ -188,18 +217,10 @@ def solve_ggl(inst: GGLInstance, W_init=None) -> PrecisionEstimate:
     if np.any(diag_target <= 0):
         raise ValueError("S has a nonpositive diagonal entry; objective is unbounded")
 
-    Winv = log_det = None
     if W_init is None:
-        W = np.diag(1.0 / diag_target)
-    elif isinstance(W_init, PrecisionEstimate):
-        W, Winv, log_det = W_init.W, W_init.W_inv, W_init.log_det
+        W, Winv, log_det = np.diag(1.0 / diag_target), None, None
     else:
-        W = np.asarray(W_init, dtype=float)
-        if W.shape != S.shape:
-            raise ValueError("W_init has wrong shape")
-        if np.max(np.abs(W - W.T)) > 1e-8 * max(1.0, np.max(np.abs(W))):
-            raise ValueError("W_init must be symmetric")
-        W = 0.5 * (W + W.T)
+        W, Winv, log_det = warm_start(W_init, S.shape[0])
     try:
         F, log_det = _objective(S, W, lamP, log_det)
     except ValueError:

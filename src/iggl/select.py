@@ -81,8 +81,8 @@ def fit_path(problem, lambdas) -> PathResult:
     """Fit every penalty in descending order, scoring each with BIC.
 
     The problem is prepared once, before any fit, and the fits share it.
-    Each fit is warm started from the previous precision estimate (largest
-    penalty first); this accelerates the path without changing solutions.
+    Each fit is warm started from the previous estimate with its inverse and
+    log det (largest penalty first), which speeds the path up, not changes it.
     Failed fits are recorded and skipped by the selection; ties in BIC
     resolve to the larger penalty.
     """
@@ -96,15 +96,15 @@ def fit_path(problem, lambdas) -> PathResult:
     fits = [None] * lambdas.size
     errors = [None] * lambdas.size
     first_failure = None
-    W_prev = None
+    prev = None
     for i, lam in enumerate(lambdas):
         try:
-            fits[i] = fit(replace(prepared, problem=replace(prepared.problem, lam=float(lam))), W_init=W_prev)
+            fits[i] = fit(replace(prepared, problem=replace(prepared.problem, lam=float(lam))), W_init=prev)
         except (ValueError, RuntimeError) as exc:
             errors[i] = f"lambda={lam:g}: {exc}"
             first_failure = first_failure or exc
         else:
-            W_prev = fits[i].estimate.W
+            prev = fits[i].estimate
 
     scores = np.full(lambdas.size, np.inf)
     for i, res in enumerate(fits):

@@ -132,6 +132,19 @@ class TestSimulate:
                    "--out-dir", str(tmp_path / "x")])
         assert rc == 1
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--n", "0"), ("--n", "1"), ("--mu", "nan"), ("--mu", "inf"), ("--edge-weight", "nan"),
+        ("--diagonal-boost", "-inf"),
+    ])
+    def test_bad_argument_writes_nothing(self, tmp_path, capsys, flag, value):
+        args = {"--n": "10", "--mu": "0", "--edge-weight": "-0.4", "--diagonal-boost": "0", flag: value}
+        out = tmp_path / "x"
+        rc = main(["simulate", "--pattern", "chain", "--m", "4", "--seed", "3", "--out-dir", str(out),
+                   *(f"{key}={v}" for key, v in args.items())])
+        assert rc == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFit:
     def test_fixed_lambda_run(self, tmp_path):
@@ -534,6 +547,20 @@ class TestMetrics:
         doc = json.loads(capsys.readouterr().out)
         assert doc["recall"] == 0.0
         assert doc["true_support_size"] == 4
+
+    @pytest.mark.parametrize("W, message", [
+        ([[1.0, float("nan")], [float("nan"), 1.0]], "has non-finite entries"),
+        ([[1.0, 0.5], [0.1, 1.0]], "must be symmetric"),
+        ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "must be a square matrix"),
+    ])
+    def test_bad_matrix_names_the_file(self, tmp_path, capsys, W, message):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        write(a, json.dumps({"W": W}))  # NaN as Python's json writes it
+        write(b, json.dumps({"W": np.eye(len(W[0])).tolist()}))
+        assert main(["metrics", "--estimate", str(a), "--truth", str(b)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{a}: 'W' {message}" in captured.err
 
     def test_dimension_mismatch(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

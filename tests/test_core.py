@@ -405,7 +405,7 @@ class TestFit:
     def test_feasibility_always_holds(self):
         Y = synth_data("bernoulli", 4, 60, seed=7)
         res = fit(FitProblem(Y=Y, losses=loss_map_for("bernoulli", Y), lam=0.05, max_outer=30))
-        assert res.phi * spectral_norm(res.state.W) <= 1.0
+        assert res.phi * spectral_norm(res.estimate.W) <= 1.0
 
     def test_no_spectral_norm_in_a_fit(self, monkeypatch):
         # phi comes from W0's largest entry, and W_init and every iterate are
@@ -604,8 +604,7 @@ class TestInexactInnerSolves:
         assert np.array_equal(S, st.S)
         assert kkt_residual(S, res.estimate.W, res.lam) <= prob.inner_tol
         assert st.inner_kkt[-1] == res.estimate.kkt_residual
-        assert np.array_equal(st.W, res.estimate.W)
-        assert np.array_equal(st.Theta, theta_update(st.Xi, res.M, st.W, res.phi))
+        assert np.array_equal(st.Theta, theta_update(st.Xi, res.M, res.estimate.W, res.phi))
 
     def test_all_quadratic_solves_at_full_tolerance(self):
         Y = synth_data("quadratic", 6, 80, seed=5)
@@ -673,3 +672,75 @@ class TestAgainstReferenceLoop:
             W_prev = res.estimate.W
         arrays = [a for res in path.fits for a in (res.state.Theta, res.state.Xi, res.estimate.W)]
         assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
+
+
+class TestWarmStartHandOff:
+    """``fit`` takes an earlier estimate or an array; ``fit_path`` hands over each fit's estimate."""
+
+    @staticmethod
+    def _problem():
+        Y = synth_data("bernoulli", 5, 200, seed=45)
+        prob = FitProblem(Y=Y, losses=loss_map_for("bernoulli", Y), lam=0.0, max_outer=15)
+        return prob, lambda_grid(first_iteration_s(prob), n_points=5)
+
+    def test_estimate_and_its_array_give_the_same_fit(self):
+        prob, lambdas = self._problem()
+        start = fit(replace(prob, lam=float(lambdas[1]))).estimate
+        from_estimate = fit(replace(prob, lam=float(lambdas[2])), W_init=start)
+        from_array = fit(replace(prob, lam=float(lambdas[2])), W_init=start.W)
+        st, ref = from_estimate.state, from_array.state
+        for name in ("F_trace", "Theta", "Xi", "S", "inner_iterations", "inner_kkt"):
+            assert np.array_equal(np.asarray(getattr(st, name)), np.asarray(getattr(ref, name))), name
+        for name in ("W", "W_inv", "log_det", "objective", "kkt_residual"):
+            assert np.array_equal(getattr(from_estimate.estimate, name), getattr(from_array.estimate, name)), name
+        assert from_estimate.converged == from_array.converged
+
+    def test_path_reuses_each_previous_estimates_factors(self, monkeypatch):
+        # the first solve of every fit but the first starts from the previous
+        # estimate's inverse and log det instead of inverting and factoring it
+        prob, lambdas = self._problem()
+        counts = {"inv": 0, "cholesky": 0}
+        inside = [False]
+        solve = iggl.core.solve_ggl
+
+        def counted_solve(*args, **kwargs):
+            inside[0] = True
+            try:
+                return solve(*args, **kwargs)
+            finally:
+                inside[0] = False
+
+        for name in counts:
+            def counted(*args, _original=getattr(np.linalg, name), _name=name):
+                counts[_name] += inside[0]
+                return _original(*args)
+            monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(iggl.core, "solve_ggl", counted_solve)
+
+        path = iggl.fit_path(prob, lambdas)
+        by_path = dict(counts)
+        W_prev = None
+        for lam, res in zip(lambdas, path.fits):
+            from_array = fit(replace(prob, lam=float(lam)), W_init=W_prev)
+            assert np.array_equal(res.estimate.W, from_array.estimate.W)
+            W_prev = from_array.estimate.W
+        by_arrays = {name: counts[name] - by_path[name] for name in counts}
+        assert by_path["inv"] > 0
+        assert by_arrays == {name: by_path[name] + len(lambdas) - 1 for name in counts}
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.array([[1.0, 0.1, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), "W_init must be symmetric"),
+        (np.diag([1.0, np.nan, 1.0]), "W_init has non-finite entries"),
+        (np.eye(2), "W_init must be a square matrix of size 3"),
+        (np.ones(3), "W_init must be a square matrix of size 3"),
+    ])
+    def test_bad_array_rejected(self, bad, message):
+        Y = synth_data("quadratic", 3, 50, seed=12)
+        with pytest.raises(ValueError, match=message):
+            fit(FitProblem(Y=Y, losses=quad_map(3), lam=0.1), W_init=bad)
+
+    @pytest.mark.parametrize("lam", [-0.1, np.inf, np.nan])
+    def test_lambda_checked_by_the_inner_solver(self, lam):
+        Y = synth_data("quadratic", 3, 50, seed=12)
+        with pytest.raises(ValueError, match="lambda must be finite and nonnegative"):
+            fit(FitProblem(Y=Y, losses=quad_map(3), lam=lam))

@@ -302,3 +302,31 @@ class TestSolve:
     def test_rejects_negative_lambda(self):
         with pytest.raises(ValueError):
             solve_ggl(GGLInstance(np.eye(2), -0.1))
+
+    @pytest.mark.parametrize("change, message", [
+        ({"lam": np.inf}, "lambda must be finite and nonnegative"),
+        ({"lam": np.nan}, "lambda must be finite and nonnegative"),
+        ({"S": np.array([[1.0, np.nan], [np.nan, 1.0]])}, "S has non-finite entries"),
+        ({"S": np.array([[1.0, 0.0], [0.0, np.inf]])}, "S has non-finite entries"),
+        ({"max_iter": -1}, "max_iter must be nonnegative"),
+        ({"tol": np.nan}, "tol must be finite and nonnegative"),
+        ({"tol": -1.0}, "tol must be finite and nonnegative"),
+        ({"tol": np.inf}, "tol must be finite and nonnegative"),
+    ])
+    def test_rejects_bad_instance(self, change, message):
+        inst = GGLInstance(**{"S": np.array([[1.0, 0.3], [0.3, 1.0]]), "lam": 0.1, **change})
+        with pytest.raises(ValueError, match=message):
+            solve_ggl(inst)
+
+    def test_zero_iterations_accepted(self):
+        est = solve_ggl(GGLInstance(np.array([[1.0, 0.3], [0.3, 1.0]]), 0.1, max_iter=0))
+        assert est.iterations == 0 and not est.converged
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.array([[1.0, 0.1], [0.0, 1.0]]), "W_init must be symmetric"),
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]), "W_init has non-finite entries"),
+        (np.eye(3), "W_init must be a square matrix of size 2"),
+    ])
+    def test_bad_warm_start_named(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            solve_ggl(GGLInstance(np.array([[1.0, 0.3], [0.3, 1.0]]), 0.1), W_init=bad)
