@@ -145,7 +145,10 @@ def _newton_direction(Sigma, g, free):
 def check_symmetric(W, name, m=None):
     """W as a float array; ``ValueError`` naming ``name`` unless square (m x m if given), finite and
     symmetric to 1e-8 relative."""
-    W = np.asarray(W, dtype=float)
+    try:
+        W = np.asarray(W, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a square matrix of numbers") from None
     if W.ndim != 2 or W.shape[0] != W.shape[1] or m not in (None, W.shape[0]):
         raise ValueError(f"{name} must be a square matrix{'' if m is None else f' of size {m}'}, got shape {W.shape}")
     if not np.all(np.isfinite(W)):
@@ -188,16 +191,16 @@ def solve_ggl(inst: GGLInstance, W_init=None) -> PrecisionEstimate:
     (an earlier estimate, or a symmetric array; either must be positive
     definite), otherwise from ``diag(1/(S_ii + lam*penalize_diagonal))``.
     With ``lam == 0`` the exact solution ``S^{-1}`` is returned directly,
-    requiring S to be nonsingular.
+    requiring S to be nonsingular (``W_init`` is checked, then not used).
 
     Raises ``ValueError`` on malformed inputs (an S that is not square,
     finite and symmetric, lam or tol outside [0, inf), max_iter below 0, a
-    bad ``W_init``) and ``RuntimeError`` when no
-    positive definite descent step can be found after step-halving.  When
-    ``max_iter`` is exhausted the best iterate is returned flagged
-    ``converged=False``.
+    bad ``W_init``) and ``RuntimeError`` when no positive definite descent
+    step can be found after step-halving.  When ``max_iter`` is exhausted
+    the best iterate is returned flagged ``converged=False``.
     """
     S = _check_instance(inst)
+    start = None if W_init is None else warm_start(W_init, S.shape[0])
     lam = float(inst.lam)
     pen = inst.penalize_diagonal
 
@@ -217,10 +220,7 @@ def solve_ggl(inst: GGLInstance, W_init=None) -> PrecisionEstimate:
     if np.any(diag_target <= 0):
         raise ValueError("S has a nonpositive diagonal entry; objective is unbounded")
 
-    if W_init is None:
-        W, Winv, log_det = np.diag(1.0 / diag_target), None, None
-    else:
-        W, Winv, log_det = warm_start(W_init, S.shape[0])
+    W, Winv, log_det = start or (np.diag(1.0 / diag_target), None, None)
     try:
         F, log_det = _objective(S, W, lamP, log_det)
     except ValueError:

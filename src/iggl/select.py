@@ -81,8 +81,8 @@ def fit_path(problem, lambdas) -> PathResult:
     """Fit every penalty in descending order, scoring each with BIC.
 
     The problem is prepared once, before any fit, and the fits share it.
-    Each fit is warm started from the previous estimate with its inverse and
-    log det (largest penalty first), which speeds the path up, not changes it.
+    Each fit is warm started from the previous estimate and reuses its inverse
+    and log det (largest penalty first), without changing solutions.
     Failed fits are recorded and skipped by the selection; ties in BIC
     resolve to the larger penalty.
     """

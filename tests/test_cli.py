@@ -552,11 +552,13 @@ class TestMetrics:
         ([[1.0, float("nan")], [float("nan"), 1.0]], "has non-finite entries"),
         ([[1.0, 0.5], [0.1, 1.0]], "must be symmetric"),
         ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "must be a square matrix"),
+        ([[1.0, 0.0], [0.0]], "must be a square matrix of numbers"),
+        ({"a": [1.0]}, "must be a square matrix of numbers"),
     ])
     def test_bad_matrix_names_the_file(self, tmp_path, capsys, W, message):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         write(a, json.dumps({"W": W}))  # NaN as Python's json writes it
-        write(b, json.dumps({"W": np.eye(len(W[0])).tolist()}))
+        write(b, json.dumps({"W": np.eye(2).tolist()}))
         assert main(["metrics", "--estimate", str(a), "--truth", str(b)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

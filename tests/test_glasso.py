@@ -327,6 +327,7 @@ class TestSolve:
         (np.array([[1.0, np.nan], [np.nan, 1.0]]), "W_init has non-finite entries"),
         (np.eye(3), "W_init must be a square matrix of size 2"),
     ])
-    def test_bad_warm_start_named(self, bad, message):
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    def test_bad_warm_start_named(self, bad, message, lam):
         with pytest.raises(ValueError, match=message):
-            solve_ggl(GGLInstance(np.array([[1.0, 0.3], [0.3, 1.0]]), 0.1), W_init=bad)
+            solve_ggl(GGLInstance(np.array([[1.0, 0.3], [0.3, 1.0]]), lam), W_init=bad)
