@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .core import FitProblem, _prepare, fit, first_iteration_s
 from .datagen import GENERATOR_ID, GraphPattern, make_precision, sample_gaussian, sample_glm
-from .glasso import check_symmetric
+from .glasso import check_symmetric, log_det_pd
 from .losses import LOSS_KINDS, check_domain, loss_from_config
 from .select import EDGE_EPS, bregman_sym, degrees_of_freedom, edge_metrics, fit_path, lambda_grid
 
@@ -332,7 +332,12 @@ def load_precision_json(path):
     doc = _read_json(path)
     if not isinstance(doc, dict) or "W" not in doc:
         raise InputError(f"{path}: no 'W' entry")
-    return check_symmetric(doc["W"], f"{path}: 'W'")
+    W = check_symmetric(doc["W"], f"{path}: 'W'")
+    try:
+        log_det_pd(W)
+    except ValueError:
+        raise InputError(f"{path}: 'W' is not positive definite") from None
+    return W
 
 
 # ---------------------------------------------------------------------------
@@ -479,10 +484,7 @@ def cmd_metrics(args) -> int:
     W_true = load_precision_json(args.truth)
     if W_hat.shape != W_true.shape:
         raise InputError(f"dimension mismatch: {W_hat.shape} vs {W_true.shape}")
-    try:
-        div = bregman_sym(W_hat, W_true)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    div = bregman_sym(W_hat, W_true)
     em = edge_metrics(W_hat, W_true, eps=args.eps)
     print(json.dumps(
         {

@@ -174,14 +174,16 @@ def theta_update(Xi, M, W, phi, out=None, work=None) -> np.ndarray:
     return np.add(np.multiply(P, phi, out=P), Xi, out=P)
 
 
-def outer_objective(S, Theta, W, phi, lam, Y, losses, penalize_diagonal=False, out=None, work=None) -> float:
+def outer_objective(S, Theta, W, phi, lam, Y, losses, penalize_diagonal=False, out=None, work=None,
+                    log_det=None) -> float:
     """Value of the full criterion at the current loop variables.
 
     The auxiliary shift never appears: its quadratic penalty
     Tr{(Xi - M)(I - phi W) W (Xi - M)^T} / 2 equals
     n/2 [tr(SW) - phi tr(SW^2)] with S = (Xi - M)^T (Xi - M) / n, the
     cross-product of the same iteration, so it costs m x m products
-    instead of n x m ones.  ``out`` and ``work`` are :func:`batch_value`'s.
+    instead of n x m ones.  ``out`` and ``work`` are :func:`batch_value`'s;
+    ``log_det``, log det W when known, saves factoring W again.
     """
     n = np.asarray(Y).shape[0]
     SW = np.asarray(S, dtype=float) @ W
@@ -190,7 +192,8 @@ def outer_objective(S, Theta, W, phi, lam, Y, losses, penalize_diagonal=False, o
     if not penalize_diagonal:
         pen -= np.sum(np.abs(np.diag(W)))
     lbar = batch_value(losses, Theta, Y, out=out, work=work)
-    return float(lbar / phi + quad - 0.5 * n * log_det_pd(W) + 0.5 * n * lam * pen)
+    log_det = log_det_pd(W) if log_det is None else log_det
+    return float(lbar / phi + quad - 0.5 * n * log_det + 0.5 * n * lam * pen)
 
 
 def _golden_section(fun, lo, hi, tol=1e-10):
@@ -403,7 +406,8 @@ def fit(problem, W_init=None) -> FitResult:
                 "inner solver returned W with phi * ||W||_2 > 1; feasibility of "
                 "the shift decomposition is violated (phi stays at its initial value)"
             ) from None
-        return est, outer_objective(S, Theta, est.W, phi, lam, Y, losses, problem.penalize_diagonal, out=A, work=B)
+        return est, outer_objective(S, Theta, est.W, phi, lam, Y, losses, problem.penalize_diagonal, out=A, work=B,
+                                    log_det=est.log_det)
 
     outer_converged = False
     rel = 0.0

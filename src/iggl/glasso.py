@@ -11,10 +11,11 @@ that span.  The solver takes orthant-wise Newton steps on the free set, the
 entries that are nonzero or whose gradient ``S - W^{-1}`` exceeds their
 penalty (QUIC, Hsieh et al. 2014; Oztoprak et al. 2012).  Conjugate
 gradients solve ``W^{-1} D W^{-1} = -g`` there, g the minimal-norm
-subgradient.  The step ``W + alpha D``, projected onto the orthant of
-sign(W) (of -sign(g) where W = 0), is halved from alpha = 1 until it is
-positive definite (one Cholesky factorization per trial) and passes an
-Armijo test.  This keeps the objective monotone, keeps every iterate
+subgradient, preconditioned by ``r -> W r W``, the exact inverse of the
+Hessian of -log det W.  The step ``W + alpha D``, projected onto the
+orthant of sign(W) (of -sign(g) where W = 0), is halved from alpha = 1
+until it is positive definite (one Cholesky factorization per trial) and
+passes an Armijo test.  This keeps the objective monotone, keeps every iterate
 strictly positive definite, and produces exact zeros.
 
 Optimality is certified by :func:`kkt_residual`, the max-norm of the
@@ -115,19 +116,19 @@ def _min_norm_subgradient(R, W, lamP):
     return np.where(W == 0.0, R - np.clip(R, -lamP, lamP), R + lamP * np.sign(W))
 
 
-def _newton_direction(Sigma, g, free):
+def _newton_direction(Sigma, W, g, free):
     """Symmetric D, 0 off ``free``, with (Sigma D Sigma)|_free ~ -g.
 
-    Conjugate gradients by matrix products, preconditioned by the Hessian's
-    diagonal Sigma_ii Sigma_jj + Sigma_ij^2, stopped at a residual of
-    min(_CG_RTOL, sqrt|g|) |g| (superlinear Newton) or after _CG_MAX_ITER.
+    Conjugate gradients by matrix products, preconditioned by r -> W r W on
+    the free set (W = Sigma^{-1}), the exact inverse of the full Hessian
+    D -> Sigma D Sigma; when every entry is free the first step is the Newton
+    direction -W g W.  Stopped at a residual of min(_CG_RTOL, sqrt|g|) |g|
+    (superlinear Newton) or after _CG_MAX_ITER.
     """
-    d = np.diag(Sigma)
-    Pinv = free / (np.outer(d, d) + Sigma * Sigma)
     gnorm = float(np.sqrt(np.vdot(g, g)))
     stop = min(_CG_RTOL, np.sqrt(gnorm)) * gnorm
     D, r = np.zeros_like(g), -g
-    p = z = Pinv * r
+    p = z = free * (W @ r @ W)
     rz = float(np.vdot(r, z))
     for _ in range(_CG_MAX_ITER):
         Hp = free * (Sigma @ p @ Sigma)
@@ -136,7 +137,7 @@ def _newton_direction(Sigma, g, free):
         r -= a * Hp
         if float(np.sqrt(np.vdot(r, r))) <= stop:
             break
-        z = Pinv * r
+        z = free * (W @ r @ W)
         rz, rz_prev = float(np.vdot(r, z)), rz
         p = z + (rz / rz_prev) * p
     return 0.5 * (D + D.T)
@@ -161,6 +162,8 @@ def check_symmetric(W, name, m=None):
 def warm_start(W_init, m):
     """W, W^-1 and log det W (None if unknown) to start from: an earlier estimate as it is, an array checked."""
     if isinstance(W_init, PrecisionEstimate):
+        if W_init.W.shape != (m, m):
+            raise ValueError(f"W_init must be an estimate of size {m}, got shape {W_init.W.shape}")
         return W_init.W, W_init.W_inv, W_init.log_det
     W = check_symmetric(W_init, "W_init", m)
     return 0.5 * (W + W.T), None, None
@@ -239,7 +242,7 @@ def solve_ggl(inst: GGLInstance, W_init=None) -> PrecisionEstimate:
 
         # sign(W), or -sign(g) where W = 0; 0 off the free set, which stays 0
         orthant = np.where(W != 0.0, np.sign(W), -np.sign(g))
-        D = _newton_direction(Sigma, g, orthant != 0.0)
+        D = _newton_direction(Sigma, W, g, orthant != 0.0)
         for alpha in 0.5 ** np.arange(100):
             Wt = W + alpha * D
             Wt = np.where(Wt * orthant > 0.0, Wt, 0.0)

@@ -356,7 +356,7 @@ def _block_op(op, losses, theta, y, **buffers):
     params = [np.array([loss.params[p] for loss in losses]) for p in kernels[2]]
     scale = np.array([loss.scale_factor for loss in losses])
     r = kernels[op](theta, y, *params, **(buffers if losses[0].kind in _IN_PLACE else {}))
-    return np.multiply(r, scale, out=r)
+    return r if np.all(scale == 1.0) else np.multiply(r, scale, out=r)
 
 
 def scale_to_unit_lipschitz(loss: ColumnLoss) -> ColumnLoss:

@@ -23,10 +23,10 @@ def write(path, text):
         fh.write(text)
 
 
-def simulate(tmp_path, extra=()):
+def simulate(tmp_path, extra=(), m=5):
     out = tmp_path / "sim"
     rc = main([
-        "simulate", "--pattern", "chain", "--m", "5", "--n", "150",
+        "simulate", "--pattern", "chain", "--m", str(m), "--n", "150",
         "--family", "gaussian", "--seed", "3", "--out-dir", str(out), *extra,
     ])
     assert rc == 0
@@ -276,9 +276,10 @@ class TestFit:
             assert json.load(fh)["converged"] is False
 
     def test_capped_final_solve_exit_code(self, tmp_path):
-        sim = simulate(tmp_path)
+        # one Newton step per outer iteration still leaves this fit's final solve short of 1e-7
+        sim = simulate(tmp_path, m=12)
         cfg = tmp_path / "cfg.json"
-        write(cfg, json.dumps({"losses": "quadratic", "lambda": 0.1, "inner_max_iter": 1}))
+        write(cfg, json.dumps({"losses": "quadratic", "lambda": 0.05, "inner_max_iter": 1}))
         out = tmp_path / "r.json"
         rc = main(["fit", "--data", str(sim / "Y.csv"), "--config", str(cfg), "--out", str(out)])
         assert rc == 2
@@ -554,6 +555,7 @@ class TestMetrics:
         ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "must be a square matrix"),
         ([[1.0, 0.0], [0.0]], "must be a square matrix of numbers"),
         ({"a": [1.0]}, "must be a square matrix of numbers"),
+        ([[1.0, 2.0], [2.0, 1.0]], "is not positive definite"),
     ])
     def test_bad_matrix_names_the_file(self, tmp_path, capsys, W, message):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -563,6 +565,13 @@ class TestMetrics:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"{a}: 'W' {message}" in captured.err
+
+    def test_indefinite_truth_names_its_file(self, tmp_path, capsys):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        write(a, json.dumps({"W": np.eye(2).tolist()}))
+        write(b, json.dumps({"W": [[1.0, 2.0], [2.0, 1.0]]}))
+        assert main(["metrics", "--estimate", str(a), "--truth", str(b)]) == 1
+        assert f"{b}: 'W' is not positive definite" in capsys.readouterr().err
 
     def test_dimension_mismatch(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -178,6 +178,16 @@ class TestOuterObjective:
         pen = outer_objective(S, Y, W, 0.01, 1.0, Y, quad_map(2))
         assert pen - base == pytest.approx(0.5 * n * 2 * 0.25, rel=1e-12)
 
+    def test_given_log_det_replaces_the_factorization(self):
+        rng = np.random.default_rng(6)
+        Y = rng.standard_normal((9, 2))
+        W = np.array([[1.0, 0.25], [0.25, 1.0]])
+        S = Y.T @ Y / 9
+        fresh = outer_objective(S, Y, W, 0.01, 0.2, Y, quad_map(2))
+        assert outer_objective(S, Y, W, 0.01, 0.2, Y, quad_map(2), log_det=log_det_pd(W)) == fresh
+        assert outer_objective(S, Y, W, 0.01, 0.2, Y, quad_map(2), log_det=log_det_pd(W) + 1.0) == pytest.approx(
+            fresh - 0.5 * 9, rel=1e-12)
+
 
 class TestShiftEliminationIdentity:
     def test_literal_vs_reduced_objective(self):
@@ -615,8 +625,9 @@ class TestInexactInnerSolves:
         assert max(res.state.inner_kkt) <= prob.inner_tol
 
     def test_capped_polish_is_not_converged(self):
-        Y = synth_data("quadratic", 6, 100, seed=5)
-        prob = FitProblem(Y=Y, losses=quad_map(6), lam=0.1, inner_max_iter=1)
+        # one Newton step per outer iteration still leaves this fit's final solve short of 1e-7
+        Y = synth_data("quadratic", 12, 100, seed=5)
+        prob = FitProblem(Y=Y, losses=quad_map(12), lam=0.05, inner_max_iter=1)
         res = fit(prob)
         # the outer trace met outer_tol, but the final solve stopped at its cap
         assert res.state.k < prob.max_outer
@@ -738,6 +749,12 @@ class TestWarmStartHandOff:
         Y = synth_data("quadratic", 3, 50, seed=12)
         with pytest.raises(ValueError, match=message):
             fit(FitProblem(Y=Y, losses=quad_map(3), lam=0.1), W_init=bad)
+
+    def test_estimate_of_another_size_rejected(self):
+        other = fit(FitProblem(Y=synth_data("quadratic", 4, 50, seed=12), losses=quad_map(4), lam=0.1)).estimate
+        Y = synth_data("quadratic", 3, 50, seed=12)
+        with pytest.raises(ValueError, match=r"W_init must be an estimate of size 3, got shape \(4, 4\)"):
+            fit(FitProblem(Y=Y, losses=quad_map(3), lam=0.1), W_init=other)
 
     @pytest.mark.parametrize("lam", [-0.1, np.inf, np.nan])
     def test_lambda_checked_by_the_inner_solver(self, lam):

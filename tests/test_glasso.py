@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import iggl.core
+import iggl.glasso
 from iggl import (
     FitProblem,
     GGLInstance,
@@ -331,3 +332,28 @@ class TestSolve:
     def test_bad_warm_start_named(self, bad, message, lam):
         with pytest.raises(ValueError, match=message):
             solve_ggl(GGLInstance(np.array([[1.0, 0.3], [0.3, 1.0]]), lam), W_init=bad)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    def test_estimate_of_another_size_named(self, lam):
+        other = solve_ggl(GGLInstance(np.eye(3), 0.1))
+        with pytest.raises(ValueError, match=r"W_init must be an estimate of size 2, got shape \(3, 3\)"):
+            solve_ggl(GGLInstance(np.array([[1.0, 0.3], [0.3, 1.0]]), lam), W_init=other)
+
+
+class TestNewtonDirection:
+    def test_all_free_first_step_is_exact_newton(self, monkeypatch):
+        # a small penalty and a dense W leave every entry free; then one CG
+        # step preconditioned by W (x) W gives -W g W, the exact direction
+        rng = np.random.default_rng(17)
+        S = rand_spd(8, rng)
+        W = np.linalg.inv(S + 0.3 * np.eye(8))
+        W = 0.5 * (W + W.T)
+        assert np.all(W != 0.0)
+        Sigma = np.linalg.inv(W)
+        Sigma = 0.5 * (Sigma + Sigma.T)
+        lamP = iggl.glasso._penalty_weights(8, 1e-3, False)
+        g = iggl.glasso._min_norm_subgradient(S - Sigma, W, lamP)
+        monkeypatch.setattr(iggl.glasso, "_CG_MAX_ITER", 1)
+        D = iggl.glasso._newton_direction(Sigma, W, g, np.ones((8, 8), dtype=bool))
+        expect = -W @ g @ W
+        assert np.max(np.abs(D - expect)) <= 1e-12 * np.max(np.abs(expect))
