@@ -7,6 +7,7 @@ from iggl import (
     FitProblem,
     GGLInstance,
     GraphPattern,
+    PrecisionEstimate,
     first_iteration_s,
     fit_path,
     ggl_objective,
@@ -327,17 +328,12 @@ class TestSolve:
         (np.array([[1.0, 0.1], [0.0, 1.0]]), "W_init must be symmetric"),
         (np.array([[1.0, np.nan], [np.nan, 1.0]]), "W_init has non-finite entries"),
         (np.eye(3), "W_init must be a square matrix of size 2"),
+        (PrecisionEstimate(np.eye(3), 3.0, 0.0, 0, True), r"W_init must be an estimate of size 2, got shape \(3, 3\)"),
     ])
     @pytest.mark.parametrize("lam", [0.0, 0.1])
     def test_bad_warm_start_named(self, bad, message, lam):
         with pytest.raises(ValueError, match=message):
             solve_ggl(GGLInstance(np.array([[1.0, 0.3], [0.3, 1.0]]), lam), W_init=bad)
-
-    @pytest.mark.parametrize("lam", [0.0, 0.1])
-    def test_estimate_of_another_size_named(self, lam):
-        other = solve_ggl(GGLInstance(np.eye(3), 0.1))
-        with pytest.raises(ValueError, match=r"W_init must be an estimate of size 2, got shape \(3, 3\)"):
-            solve_ggl(GGLInstance(np.array([[1.0, 0.3], [0.3, 1.0]]), lam), W_init=other)
 
 
 class TestNewtonDirection:
