@@ -16,7 +16,8 @@ Hessian of -log det W.  The step ``W + alpha D``, projected onto the
 orthant of sign(W) (of -sign(g) where W = 0), is halved from alpha = 1
 until it is positive definite (one Cholesky factorization per trial) and
 passes an Armijo test.  This keeps the objective monotone, keeps every iterate
-strictly positive definite, and produces exact zeros.
+strictly positive definite, and produces exact zeros.  At lambda = 0 the loop
+starts from the exact solution S^{-1}, so it steps only where rounding fell short.
 
 Optimality is certified by :func:`kkt_residual`, the max-norm of the
 minimal-norm subgradient of the objective, so any conforming backend can
@@ -25,7 +26,7 @@ be swapped in behind :func:`solve_ggl`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,10 +58,9 @@ class PrecisionEstimate:
     kkt_residual: float
     iterations: int
     converged: bool
-    objective_trace: np.ndarray = field(default_factory=lambda: np.empty(0))
-    # W's inverse and log det (None for lam == 0), reused by a solve warm started from this estimate
-    W_inv: np.ndarray | None = None
-    log_det: float | None = None
+    # W's inverse and log det, reused by a solve warm started from this estimate
+    W_inv: np.ndarray
+    log_det: float
 
 
 def log_det_pd(W) -> float:
@@ -193,8 +193,8 @@ def solve_ggl(inst: GGLInstance, W_init=None) -> PrecisionEstimate:
     Warm starts from ``W_init`` when given, as :func:`warm_start` reads it
     (an earlier estimate, or a symmetric array; either must be positive
     definite), otherwise from ``diag(1/(S_ii + lam*penalize_diagonal))``.
-    With ``lam == 0`` the exact solution ``S^{-1}`` is returned directly,
-    requiring S to be nonsingular (``W_init`` is checked, then not used).
+    With ``lam == 0`` it starts from ``S^{-1}``, which requires S to be
+    positive definite (``W_init`` is checked, then not used).
 
     Raises ``ValueError`` on malformed inputs (an S that is not square,
     finite and symmetric, lam or tol outside [0, inf), max_iter below 0, a
@@ -205,20 +205,16 @@ def solve_ggl(inst: GGLInstance, W_init=None) -> PrecisionEstimate:
     S = _check_instance(inst)
     start = None if W_init is None else warm_start(W_init, S.shape[0])
     lam = float(inst.lam)
-    pen = inst.penalize_diagonal
-
     if lam == 0.0:
         try:
             np.linalg.cholesky(S)
-        except np.linalg.LinAlgError:
+            W = np.linalg.inv(S)
+            W = 0.5 * (W + W.T)
+            start = (W, None, log_det_pd(W))
+        except ValueError:  # numpy's LinAlgError is one
             raise ValueError("lambda = 0 requires a nonsingular (positive definite) S") from None
-        W = np.linalg.inv(S)
-        W = 0.5 * (W + W.T)
-        obj = ggl_objective(S, W, 0.0, pen)
-        kkt = kkt_residual(S, W, 0.0, pen)
-        return PrecisionEstimate(W, obj, kkt, 0, True, np.array([obj]))
 
-    lamP = _penalty_weights(S.shape[0], lam, pen)
+    lamP = _penalty_weights(S.shape[0], lam, inst.penalize_diagonal)
     diag_target = np.diag(S) + np.diag(lamP)
     if np.any(diag_target <= 0):
         raise ValueError("S has a nonpositive diagonal entry; objective is unbounded")
@@ -229,13 +225,11 @@ def solve_ggl(inst: GGLInstance, W_init=None) -> PrecisionEstimate:
     except ValueError:
         raise ValueError("W_init must be positive definite") from None
 
-    trace = []
     for it in range(inst.max_iter + 1):
         Winv = np.linalg.inv(W) if Winv is None else Winv
         Sigma = 0.5 * (Winv + Winv.T)
         g = _min_norm_subgradient(S - Sigma, W, lamP)
         kkt = float(np.abs(g).max())
-        trace.append(F)
         converged = kkt <= inst.tol
         if converged or it == inst.max_iter:
             break
@@ -256,4 +250,4 @@ def solve_ggl(inst: GGLInstance, W_init=None) -> PrecisionEstimate:
             raise RuntimeError("no positive definite descent step found after step-halving")
         W, F, log_det, Winv = Wt, F_t, log_det_t, None
 
-    return PrecisionEstimate(W, trace[-1], kkt, it, converged, np.asarray(trace), Winv, log_det)
+    return PrecisionEstimate(W, F, kkt, it, converged, Winv, log_det)

@@ -68,12 +68,12 @@ def bic(result: FitResult) -> float:
 
     S is the cross-product on which the fit's returned W was solved, built
     from its final gradient-step image (the linearized Gaussian proxy), which
-    keeps one formula across all loss families.
+    keeps one formula across all loss families.  log det W is the one the
+    estimate carries.
     """
-    S = result.state.S
     W = result.estimate.W
     n = result.state.Xi.shape[0]
-    ll = float(np.sum(S * W)) - log_det_pd(W)
+    ll = float(np.sum(result.state.S * W)) - result.estimate.log_det
     return float(n * ll + np.log(n) * degrees_of_freedom(W))
 
 
@@ -151,8 +151,8 @@ def edge_metrics(W_hat, W_true, eps=EDGE_EPS) -> EdgeMetrics:
     W_true = np.asarray(W_true)
     if W_hat.shape != W_true.shape:
         raise ValueError("shape mismatch")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0.0 < eps < np.inf:
+        raise ValueError("eps must be positive and finite")
     iu = np.triu_indices(W_hat.shape[0], k=1)
     pred = np.abs(W_hat[iu]) > eps
     true = np.abs(W_true[iu]) > eps

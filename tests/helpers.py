@@ -1,8 +1,9 @@
 """Shared test utilities: random instances, loss maps, data synthesis,
-closed-form and brute-force inner-solver oracles, and a strict validator
-for the DOT subset the exporter emits."""
+closed-form and brute-force inner-solver oracles, a counter of linear
+algebra calls, and a strict validator for the DOT subset the exporter emits."""
 
 import re
+from collections import Counter
 
 import numpy as np
 
@@ -41,6 +42,17 @@ def rand_spd(m, rng, rows=None):
     A = rng.standard_normal((rows, m))
     S = A.T @ A / rows
     return 0.5 * (S + S.T)
+
+
+def count_linalg(monkeypatch, *names):
+    """A Counter of the calls made to each named ``np.linalg`` function from now on (0 for each at first)."""
+    counts = Counter(dict.fromkeys(names, 0))
+    for name in names:
+        def counted(*args, _original=getattr(np.linalg, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
 
 
 def loss_map_for(kind, Y):

@@ -580,6 +580,14 @@ class TestMetrics:
         assert main(["metrics", "--estimate", str(a), "--truth", str(b)]) == 1
         assert "mismatch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eps", ["0", "nan", "inf"])
+    def test_bad_threshold_rejected(self, tmp_path, capsys, eps):
+        truth = str(simulate(tmp_path) / "Wtrue.json")
+        assert main(["metrics", "--estimate", truth, "--truth", truth, "--eps", eps]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "eps must be positive and finite" in captured.err
+
 
 class TestDotWriter:
     def test_quoting_and_isolation(self, tmp_path):

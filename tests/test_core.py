@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -28,7 +29,7 @@ import iggl.core
 from iggl.core import _prepare, cross_product, spectral_norm
 from iggl.losses import check_domain, kernel_value
 
-from helpers import ALL_KINDS, assert_fit_equals_reference, loss_map_for, reference_fit, synth_data
+from helpers import ALL_KINDS, assert_fit_equals_reference, count_linalg, loss_map_for, reference_fit, synth_data
 
 
 def quad_map(m):
@@ -710,32 +711,25 @@ class TestWarmStartHandOff:
         # the first solve of every fit but the first starts from the previous
         # estimate's inverse and log det instead of inverting and factoring it
         prob, lambdas = self._problem()
-        counts = {"inv": 0, "cholesky": 0}
-        inside = [False]
-        solve = iggl.core.solve_ggl
+        counts, solve = count_linalg(monkeypatch, "inv", "cholesky"), iggl.core.solve_ggl
+        inside = Counter()
 
         def counted_solve(*args, **kwargs):
-            inside[0] = True
-            try:
-                return solve(*args, **kwargs)
-            finally:
-                inside[0] = False
+            before = counts.copy()
+            est = solve(*args, **kwargs)
+            inside.update(counts - before)
+            return est
 
-        for name in counts:
-            def counted(*args, _original=getattr(np.linalg, name), _name=name):
-                counts[_name] += inside[0]
-                return _original(*args)
-            monkeypatch.setattr(np.linalg, name, counted)
         monkeypatch.setattr(iggl.core, "solve_ggl", counted_solve)
 
         path = iggl.fit_path(prob, lambdas)
-        by_path = dict(counts)
+        by_path = inside.copy()
         W_prev = None
         for lam, res in zip(lambdas, path.fits):
             from_array = fit(replace(prob, lam=float(lam)), W_init=W_prev)
             assert np.array_equal(res.estimate.W, from_array.estimate.W)
             W_prev = from_array.estimate.W
-        by_arrays = {name: counts[name] - by_path[name] for name in counts}
+        by_arrays = {name: inside[name] - by_path[name] for name in counts}
         assert by_path["inv"] > 0
         assert by_arrays == {name: by_path[name] + len(lambdas) - 1 for name in counts}
 

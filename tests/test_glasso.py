@@ -1,3 +1,6 @@
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,7 +23,7 @@ from iggl import (
     solve_ggl,
 )
 
-from helpers import kkt_three_case, oracle_ggl_2x2, oracle_ggl_dense, rand_spd, spd_with_zeros
+from helpers import count_linalg, kkt_three_case, oracle_ggl_2x2, oracle_ggl_dense, rand_spd, spd_with_zeros
 
 
 class TestLogDet:
@@ -131,15 +134,20 @@ class TestSolve:
             assert np.allclose(est.W, expect, atol=1e-9)
 
     def test_monotone_objective_trace(self):
+        # the iterates are deterministic, so solves cut short after 0, 1, ...
+        # steps retrace the objective of a full solve
         rng = np.random.default_rng(2)
         for _ in range(5):
             S = rand_spd(5, rng)
             for pen in (False, True):
                 cold = solve_ggl(GGLInstance(S, 0.1, pen))
-                warm = solve_ggl(GGLInstance(S, 0.05, pen), W_init=cold.W)
-                for est in (cold, warm):
+                for inst, start in ((GGLInstance(S, 0.1, pen), None), (GGLInstance(S, 0.05, pen), cold.W)):
+                    est = solve_ggl(inst, W_init=start)
                     assert est.iterations > 0
-                    assert np.all(np.diff(est.objective_trace) <= 1e-10)
+                    trace = [ggl_objective(S, solve_ggl(replace(inst, max_iter=k), W_init=start).W, inst.lam, pen)
+                             for k in range(est.iterations + 1)]
+                    assert np.all(np.diff(trace) <= 1e-10)
+                    assert trace[-1] == est.objective
 
     def test_returns_exactly_symmetric_W(self):
         rng = np.random.default_rng(33)
@@ -200,27 +208,19 @@ class TestSolve:
         Y = sample_gaussian(n, make_precision(GraphPattern("chain", m)), seed=5)
         prob = FitProblem(Y=Y, losses=tuple(make_loss("quadratic") for _ in range(m)), lam=0.0)
         grid = lambda_grid(first_iteration_s(prob), n_points=10)
-        counts = {"chol": 0, "iters": 0, "inside": False}
-        cholesky, solve = np.linalg.cholesky, iggl.core.solve_ggl
-
-        def counted_cholesky(a):
-            counts["chol"] += counts["inside"]
-            return cholesky(a)
+        counts, solve = count_linalg(monkeypatch, "cholesky"), iggl.core.solve_ggl
+        inside = Counter()
 
         def counted_solve(*args, **kwargs):
-            counts["inside"] = True
-            try:
-                est = solve(*args, **kwargs)
-            finally:
-                counts["inside"] = False
-            counts["iters"] += est.iterations
+            before = counts["cholesky"]
+            est = solve(*args, **kwargs)
+            inside.update(chol=counts["cholesky"] - before, iters=est.iterations)
             return est
 
-        monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
         monkeypatch.setattr(iggl.core, "solve_ggl", counted_solve)
         fit_path(prob, grid)
-        assert counts["iters"] > 0
-        assert counts["chol"] / counts["iters"] <= 1.7
+        assert inside["iters"] > 0
+        assert inside["chol"] / inside["iters"] <= 1.7
 
     def test_warm_start_already_optimal(self):
         S = np.array([[1.0, 0.5], [0.5, 1.0]])
@@ -233,29 +233,20 @@ class TestSolve:
         rng = np.random.default_rng(8)
         S1 = rand_spd(6, rng)
         S2 = S1 + 0.05 * rand_spd(6, rng)
-        first = solve_ggl(GGLInstance(S1, 0.1))
-        assert np.array_equal(first.W, first.W.T)
-        assert np.array_equal(first.W_inv, np.linalg.inv(first.W))
-        assert first.log_det == log_det_pd(first.W)
-        counts = {"inv": 0, "cholesky": 0}
-        for name in counts:
-            def counted(*args, _original=getattr(np.linalg, name), _name=name):
-                counts[_name] += 1
-                return _original(*args)
-            monkeypatch.setattr(np.linalg, name, counted)
-        runs = []
-        for start in (first.W, first):
-            before = dict(counts)
-            runs.append((solve_ggl(GGLInstance(S2, 0.1), W_init=start), {k: counts[k] - before[k] for k in counts}))
-        (plain, plain_calls), (reused, reused_calls) = runs
-        for name in ("W", "objective", "kkt_residual", "iterations", "objective_trace", "W_inv", "log_det"):
-            assert np.array_equal(getattr(plain, name), getattr(reused, name)), name
-        assert reused_calls == {"inv": plain_calls["inv"] - 1, "cholesky": plain_calls["cholesky"] - 1}
-        # an unpenalized estimate carries no factors; its W is taken like an array
-        exact = solve_ggl(GGLInstance(S1, 0.0))
-        assert exact.W_inv is None and exact.log_det is None
-        assert np.array_equal(solve_ggl(GGLInstance(S2, 0.1), W_init=exact).W,
-                              solve_ggl(GGLInstance(S2, 0.1), W_init=exact.W).W)
+        counts = count_linalg(monkeypatch, "inv", "cholesky")
+        for lam in (0.1, 0.0):  # an unpenalized estimate carries its factors too
+            first = solve_ggl(GGLInstance(S1, lam))
+            assert np.array_equal(first.W, first.W.T)
+            assert np.array_equal(first.W_inv, np.linalg.inv(first.W))
+            assert first.log_det == log_det_pd(first.W)
+            runs = []
+            for start in (first.W, first):
+                before = counts.copy()
+                runs.append((solve_ggl(GGLInstance(S2, 0.1), W_init=start), {k: counts[k] - before[k] for k in counts}))
+            (plain, plain_calls), (reused, reused_calls) = runs
+            for name in ("W", "objective", "kkt_residual", "iterations", "W_inv", "log_det"):
+                assert np.array_equal(getattr(plain, name), getattr(reused, name)), name
+            assert reused_calls == {"inv": plain_calls["inv"] - 1, "cholesky": plain_calls["cholesky"] - 1}
 
     def test_agrees_with_dense_oracle(self):
         rng = np.random.default_rng(21)
@@ -283,6 +274,16 @@ class TestSolve:
         est = solve_ggl(GGLInstance(S, 0.05, max_iter=2, tol=1e-14))
         assert not est.converged
         assert est.iterations == 2
+
+    def test_zero_penalty_claims_only_the_convergence_it_reached(self):
+        # rounding leaves S^{-1} of a condition-1e12 S short of the tolerance
+        Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((20, 20)))
+        S = Q @ np.diag(np.geomspace(1.0, 1e-12, 20)) @ Q.T
+        S = 0.5 * (S + S.T)
+        inst = GGLInstance(S, 0.0)
+        est = solve_ggl(inst)
+        assert est.kkt_residual == kkt_residual(S, est.W, 0.0)
+        assert not est.converged or est.kkt_residual <= inst.tol
 
     def test_nonsingular_required_at_zero_penalty(self):
         S = np.ones((3, 3))
@@ -328,7 +329,7 @@ class TestSolve:
         (np.array([[1.0, 0.1], [0.0, 1.0]]), "W_init must be symmetric"),
         (np.array([[1.0, np.nan], [np.nan, 1.0]]), "W_init has non-finite entries"),
         (np.eye(3), "W_init must be a square matrix of size 2"),
-        (PrecisionEstimate(np.eye(3), 3.0, 0.0, 0, True), r"W_init must be an estimate of size 2, got shape \(3, 3\)"),
+        (PrecisionEstimate(np.eye(3), 3.0, 0.0, 0, True, np.eye(3), 0.0), r"W_init must be an estimate of size 2, got shape \(3, 3\)"),
     ])
     @pytest.mark.parametrize("lam", [0.0, 0.1])
     def test_bad_warm_start_named(self, bad, message, lam):

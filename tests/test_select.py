@@ -13,12 +13,13 @@ from iggl import (
     fit_path,
     lambda_grid,
     make_loss,
+    log_det_pd,
     make_precision,
     GraphPattern,
 )
 from iggl.select import degrees_of_freedom
 
-from helpers import rand_spd, synth_data
+from helpers import count_linalg, rand_spd, synth_data
 
 
 def quad_map(m):
@@ -56,6 +57,15 @@ class TestBIC:
         S = (Y - M).T @ (Y - M) / n
         expect = n * (m - np.log(np.linalg.det(np.linalg.inv(S)))) + np.log(n) * m * (m + 1) / 2
         assert bic(res) == pytest.approx(expect, rel=1e-6)
+
+    def test_reads_the_fits_log_det(self, monkeypatch):
+        Y = synth_data("quadratic", 4, 60, seed=3)
+        res = fit(FitProblem(Y=Y, losses=quad_map(4), lam=0.1))
+        W, n = res.estimate.W, Y.shape[0]
+        expect = n * (float(np.sum(res.state.S * W)) - log_det_pd(W)) + np.log(n) * degrees_of_freedom(W)
+        counts = count_linalg(monkeypatch, "cholesky")
+        assert bic(res) == expect
+        assert counts["cholesky"] == 0
 
     def test_diagonal_df(self):
         W = np.diag([1.0, 2.0, 3.0])
@@ -207,3 +217,9 @@ class TestEdgeMetrics:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             edge_metrics(np.eye(3), np.eye(4))
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, np.inf, np.nan])
+    def test_threshold_must_be_positive_and_finite(self, eps):
+        W = make_precision(GraphPattern("chain", 5))
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            edge_metrics(W, W, eps=eps)
