@@ -329,7 +329,8 @@ class TestSolve:
         (np.array([[1.0, 0.1], [0.0, 1.0]]), "W_init must be symmetric"),
         (np.array([[1.0, np.nan], [np.nan, 1.0]]), "W_init has non-finite entries"),
         (np.eye(3), "W_init must be a square matrix of size 2"),
-        (PrecisionEstimate(np.eye(3), 3.0, 0.0, 0, True, np.eye(3), 0.0), r"W_init must be an estimate of size 2, got shape \(3, 3\)"),
+        (PrecisionEstimate(np.eye(3), 3.0, 0.0, 0, True, np.eye(3), 0.0),
+         r"W_init must be an estimate of size 2, got shape \(3, 3\)"),
     ])
     @pytest.mark.parametrize("lam", [0.0, 0.1])
     def test_bad_warm_start_named(self, bad, message, lam):

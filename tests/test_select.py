@@ -12,8 +12,8 @@ from iggl import (
     fit,
     fit_path,
     lambda_grid,
-    make_loss,
     log_det_pd,
+    make_loss,
     make_precision,
     GraphPattern,
 )
