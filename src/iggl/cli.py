@@ -38,8 +38,7 @@ with open(SCHEMA_PATH, "r", encoding="utf-8") as _fh:
     _SCHEMA = json.load(_fh)
 _JSON_TYPES = {"string": str, "boolean": bool, "integer": int, "number": (int, float), "object": dict, "array": list}
 # the config keys that set FitProblem options; an unset key leaves FitProblem's default
-_PROBLEM_KEYS = ("phi_c", "outer_tol", "max_outer", "equalize_lipschitz", "penalize_diagonal", "inner_tol",
-                 "inner_max_iter")
+_PROBLEM_KEYS = ("phi_c", "outer_tol", "max_outer", "penalize_diagonal", "inner_tol", "inner_max_iter")
 
 
 class InputError(ValueError):
@@ -504,8 +503,14 @@ def cmd_metrics(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is an input error; argparse's own exit 2 means non-convergence here
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(prog="iggl", description="Sparse association graphs from mixed-type data")
+    parser = _Parser(prog="iggl", description="Sparse association graphs from mixed-type data")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -515,8 +520,6 @@ def build_parser():
     run.add_argument("--dot", help="also write a Graphviz DOT file of the (selected) model")
     run.add_argument("--edge-threshold", dest="edge_threshold", type=float)
     run.add_argument("--drop-isolated", dest="drop_isolated", action="store_const", const=True)
-    run.add_argument("--equalize-lipschitz", dest="equalize_lipschitz", action="store_const", const=True,
-                     help="scale every loss to a gradient-Lipschitz bound of exactly one (reweights the columns)")
     p_fit = sub.add_parser("fit", parents=[run], help="fit at one penalty (or BIC-select with lambda=auto)")
     p_fit.add_argument("--out", help="result JSON path (default result.json)")
     p_fit.set_defaults(func=cmd_fit)

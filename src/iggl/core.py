@@ -12,11 +12,11 @@ learning problem:
     W     <- argmin  Tr(S W) - log det W + lam*l1(W)
     Theta <- Xi + phi * (M - Xi) W                blend back through W
 
-The unit step is valid because every loss is rescaled to a gradient-
-Lipschitz bound of at most one beforehand, and with the inner solver warm
-started from the previous W the objective trace is non-increasing.  With
-all-quadratic losses Xi stays equal to Y, so the loop degenerates to a
-single inner solve plus one confirming pass.
+The unit step is valid because ``_prepare`` divides every gradient-Lipschitz
+bound above one down to one (a bound below one is kept), and with the inner
+solver warm started from the previous W the objective trace is
+non-increasing.  With all-quadratic losses Xi stays equal to Y, so the loop
+degenerates to a single inner solve plus one confirming pass.
 
 The inner solves are inexact block steps: every accepted step of the
 warm-started solver lowers the inner objective, so a partial solve still
@@ -52,12 +52,12 @@ import numpy as np
 
 from .glasso import GGLInstance, PrecisionEstimate, log_det_pd, solve_ggl, warm_start
 from .losses import (
+    _divide_by_bound,
     batch_grad,
     batch_value,
     check_domain,
     check_params,
     default_lipschitz,
-    force_unit_lipschitz,
     kernel_value,
     loss_value,  # not called here; perfbench/spans.py rebinds core.loss_value to count calls
     make_loss,
@@ -83,7 +83,6 @@ class FitProblem:
     phi_c: float = 1e-3
     outer_tol: float = 1e-6
     max_outer: int = 200
-    equalize_lipschitz: bool = False
     penalize_diagonal: bool = False
     inner_tol: float = 1e-7
     inner_max_iter: int = 500
@@ -282,7 +281,7 @@ def poisson_preprocess(Y, columns):
     integers with a positive total), as ``fit`` ensures.
     """
     Y = np.asarray(Y, dtype=float)
-    return {k: force_unit_lipschitz(make_loss("poisson_reparam", count_total=float(np.sum(Y[:, k]))))
+    return {k: _divide_by_bound(make_loss("poisson_reparam", count_total=float(np.sum(Y[:, k]))))
             for k in columns}
 
 
@@ -340,8 +339,7 @@ def _prepare(problem) -> PreparedProblem:
             # reports it but the mean column stays zero
             M[:, k] = 0.0
 
-    unit = force_unit_lipschitz if problem.equalize_lipschitz else scale_to_unit_lipschitz
-    losses = tuple(unit(l) for l in losses)
+    losses = tuple(scale_to_unit_lipschitz(l) for l in losses)
 
     variances = np.var(Y, axis=0, ddof=1)
     low = np.nonzero(variances < 1e-12)[0]

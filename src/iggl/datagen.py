@@ -66,15 +66,17 @@ def make_precision(pattern: GraphPattern, seed=0) -> np.ndarray:
     return W
 
 
-def sample_gaussian(n, W_star, mu=0.0, seed=0) -> np.ndarray:
-    """n iid rows from N(mu, W_star^{-1}), deterministic given the seed."""
+def _latent(n, W_star, mu, rng) -> np.ndarray:
+    """n rows from N(mu, W_star^{-1}): one standard normal draw from ``rng``, times the Cholesky factor."""
     W_star = np.asarray(W_star, dtype=float)
-    m = W_star.shape[0]
     Sigma = np.linalg.inv(W_star)
     L = np.linalg.cholesky(0.5 * (Sigma + Sigma.T))
-    rng = np.random.default_rng(seed)
-    Z = rng.standard_normal((n, m))
-    return np.asarray(mu) + Z @ L.T
+    return np.asarray(mu) + rng.standard_normal((n, W_star.shape[0])) @ L.T
+
+
+def sample_gaussian(n, W_star, mu=0.0, seed=0) -> np.ndarray:
+    """n iid rows from N(mu, W_star^{-1}), deterministic given the seed."""
+    return _latent(n, W_star, mu, np.random.default_rng(seed))
 
 
 def sample_glm(n, W_star, family, mu=0.0, seed=0) -> np.ndarray:
@@ -88,12 +90,9 @@ def sample_glm(n, W_star, family, mu=0.0, seed=0) -> np.ndarray:
     """
     if family not in ("bernoulli", "poisson"):
         raise ValueError(f"unknown family {family!r}")
-    W_star = np.asarray(W_star, dtype=float)
-    m = W_star.shape[0]
-    Sigma = np.linalg.inv(W_star)
-    L = np.linalg.cholesky(0.5 * (Sigma + Sigma.T))
     rng = np.random.default_rng(seed)
-    Theta = np.asarray(mu) + rng.standard_normal((n, m)) @ L.T
+    Theta = _latent(n, W_star, mu, rng)
+    m = Theta.shape[1]
     Y = np.empty((n, m))
     for k in range(m):
         th = Theta[:, k]

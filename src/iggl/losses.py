@@ -9,8 +9,8 @@ the intercept of a Poisson column.  A loss is an immutable
 ``scale_factor`` applied to the raw loss, and ``lipschitz``, a certified
 upper bound on the Lipschitz constant of the scaled gradient.  The
 fixed-unit-step outer solver needs ``lipschitz <= 1``, which
-:func:`scale_to_unit_lipschitz` enforces by rescaling losses whose bound
-exceeds one.
+:func:`scale_to_unit_lipschitz` enforces by dividing a bound above one down
+to one; a column is reweighted only through ``make_loss(kind, scale_factor=...)``.
 
 Each formula is written once, as a per-kind kernel.  The single-column
 :func:`loss_value` and :func:`loss_grad` check that the column lies in its
@@ -368,17 +368,6 @@ def scale_to_unit_lipschitz(loss: ColumnLoss) -> ColumnLoss:
     speed but preserves reported loss values).  Idempotent.
     """
     return _divide_by_bound(loss) if loss.lipschitz > 1.0 else loss
-
-
-def force_unit_lipschitz(loss: ColumnLoss) -> ColumnLoss:
-    """Rescale so the certified bound equals one exactly (both directions).
-
-    Used by the ``equalize_lipschitz`` option: losses with a bound below one
-    (e.g. the Bernoulli deviance at 1/4) are multiplied up too, which
-    reweights the columns in the criterion and changes the units of reported
-    objectives.
-    """
-    return _divide_by_bound(loss) if loss.lipschitz != 1.0 else loss
 
 
 def _divide_by_bound(loss):

@@ -50,8 +50,6 @@ def lambda_grid(S1, n_points=30, ratio=0.01) -> np.ndarray:
     if lam_max <= 0.0:
         warnings.warn("all off-diagonal entries are zero; penalty grid collapses to {0}")
         return np.array([0.0])
-    if n_points == 1:
-        return np.array([lam_max])
     return np.geomspace(lam_max, lam_max * ratio, n_points)
 
 

@@ -33,6 +33,32 @@ def simulate(tmp_path, extra=(), m=5):
     return out
 
 
+class TestUsage:
+    # argparse exits 2 on a usage error, which here means non-convergence; a usage error is an input error
+    @pytest.mark.parametrize("argv, message", [
+        (["fit", "--bogus"], "unrecognized arguments: --bogus"),
+        (["path", "--equalize-lipschitz"], "unrecognized arguments: --equalize-lipschitz"),
+        (["simulate", "--pattern", "chain", "--m", "x", "--n", "5", "--out-dir", "d"], "argument --m: invalid int value: 'x'"),
+        (["simulate", "--pattern", "chain", "--n", "5", "--out-dir", "d"], "the following arguments are required: --m"),
+    ], ids=["unknown-flag", "removed-flag", "non-integer", "missing-required"])
+    def test_usage_error_exits_1(self, tmp_path, capsys, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: iggl")
+        assert message in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["--version"], ["fit", "--help"]])
+    def test_version_and_help_exit_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("iggl 0" if argv == ["--version"] else "usage: iggl fit")
+
+
 class TestCsvIngestion:
     def test_missing_cell_diagnosed(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -321,8 +347,8 @@ class TestFit:
     def test_mistyped_config_key_rejected(self, tmp_path, capsys):
         sim = simulate(tmp_path)
         cfg = tmp_path / "cfg.json"
-        # "calibrate" was an option once; its scaling is "equalize_lipschitz"'s
-        for key in ("lamda", "calibrate"):
+        # "calibrate" and "equalize_lipschitz" were options once; an old config naming them is an error
+        for key in ("lamda", "calibrate", "equalize_lipschitz"):
             write(cfg, json.dumps({"losses": "quadratic", "lambda": 0.1, key: 0.1}))
             rc = main(["fit", "--data", str(sim / "Y.csv"), "--config", str(cfg), "--out", str(tmp_path / "r.json")])
             assert rc == 1
@@ -386,21 +412,17 @@ class TestFit:
         assert "edge_threshold" in capsys.readouterr().err
         assert calls == []
 
-    @pytest.mark.parametrize("flag, cfg, scale", [
-        ([], {}, 1.0),
-        (["--equalize-lipschitz"], {}, 4.0),
-        ([], {"equalize_lipschitz": True}, 4.0),
-    ])
-    def test_equalize_lipschitz_scales_bernoulli(self, tmp_path, flag, cfg, scale):
+    def test_bernoulli_keeps_its_bound(self, tmp_path):
+        # a bound below one is kept: the Bernoulli deviance is not reweighted
         sim = simulate(tmp_path, ["--family", "bernoulli"])
         cfg_path = tmp_path / "cfg.json"
-        write(cfg_path, json.dumps({"losses": "bernoulli", "lambda": 0.1, "max_outer": 3, **cfg}))
+        write(cfg_path, json.dumps({"losses": "bernoulli", "lambda": 0.1, "max_outer": 3}))
         out = tmp_path / "r.json"
-        rc = main(["fit", "--data", str(sim / "Y.csv"), "--config", str(cfg_path), "--out", str(out), *flag])
+        rc = main(["fit", "--data", str(sim / "Y.csv"), "--config", str(cfg_path), "--out", str(out)])
         assert rc in (0, 2)
         with open(out) as fh:
             losses = json.load(fh)["losses"]
-        assert [(l["scale_factor"], l["lipschitz"]) for l in losses] == [(scale, scale / 4.0)] * 5
+        assert [(l["scale_factor"], l["lipschitz"]) for l in losses] == [(1.0, 0.25)] * 5
 
     def test_schema_defaults_match_code(self):
         # the CLI leaves unset options to these defaults; the schema documents them

@@ -510,22 +510,6 @@ class TestFit:
         F = np.asarray(res.state.F_trace)
         assert np.all(np.diff(F) <= 1e-9 * (1.0 + np.abs(F[:-1])))
 
-    def test_equalize_lipschitz_every_kind(self):
-        # one column of each kind: every loss ends at scale s/L and bound exactly one,
-        # where the default keeps the bounds below one (Bernoulli 1/4)
-        Y = np.column_stack([synth_data(kind, 2, 120, seed=40 + i)[:, 0] for i, kind in enumerate(ALL_KINDS)])
-        losses = tuple(loss_map_for(kind, Y[:, [k]])[0] for k, kind in enumerate(ALL_KINDS))
-        prob = FitProblem(Y=Y, losses=losses, lam=0.05, max_outer=40, outer_tol=0.0, equalize_lipschitz=True)
-        prepared = _prepare(prob)
-        count = ALL_KINDS.index("poisson_reparam")
-        for k, (before, after) in enumerate(zip(losses, prepared.losses)):
-            # a count column is first pinned to scale 2/total, bound 1
-            s, L = (2.0 / Y[:, k].sum(), 1.0) if k == count else (before.scale_factor, before.lipschitz)
-            assert (after.kind, after.scale_factor, after.lipschitz) == (before.kind, s / L, 1.0), before.kind
-        assert _prepare(replace(prob, equalize_lipschitz=False)).losses[1].lipschitz == 0.25
-        F = np.asarray(fit(prepared).state.F_trace)
-        assert np.all(np.diff(F) <= 1e-9 * (1.0 + np.abs(F[:-1])))
-
     def test_domain_checked_once_per_column(self, monkeypatch):
         calls = []
         monkeypatch.setattr(iggl.core, "check_domain", lambda kind, y: calls.append(kind) or check_domain(kind, y))

@@ -10,10 +10,11 @@ from iggl import (
     loss_grad,
     loss_value,
     make_loss,
+    poisson_preprocess,
     robust_scale,
     scale_to_unit_lipschitz,
 )
-from iggl.losses import force_unit_lipschitz, kernel_value
+from iggl.losses import kernel_value
 
 from helpers import ALL_KINDS
 
@@ -156,10 +157,11 @@ class TestScaling:
             assert twice.scale_factor == once.scale_factor
             assert twice.lipschitz == once.lipschitz
 
-    def test_force_unit_raises_small_constants(self):
-        forced = force_unit_lipschitz(make_loss("bernoulli"))
-        assert forced.scale_factor == pytest.approx(4.0)
-        assert forced.lipschitz == 1.0
+    def test_small_count_total_scaled_up(self):
+        # the one loss scaled up: a count column of total 1 has bound 1/2
+        assert make_loss("poisson_reparam", count_total=1.0).lipschitz == 0.5
+        loss = poisson_preprocess(np.array([[0.0], [1.0]]), [0])[0]
+        assert (loss.scale_factor, loss.lipschitz) == (2.0, 1.0)
 
 
 class TestRobustScale:
