@@ -72,8 +72,8 @@ _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 class FitProblem:
     """Observations, per-column losses, and solver options for one fit.
 
-    ``M`` is the known mean matrix; ``None`` selects intercept-only mode
-    where per-column intercepts are estimated once before the loop.
+    ``M`` is the known mean matrix; ``None`` selects intercept-only mode, where
+    per-column intercepts are estimated once before the loop and broadcast as one row.
     """
 
     Y: np.ndarray
@@ -108,10 +108,11 @@ class IterState:
     ``S`` is the cross-product on which ``FitResult.estimate`` was solved.
     The lists hold one entry per outer iteration: the objective, and the
     inner solve's iteration count, KKT tolerance and final KKT residual.
+    ``Theta`` and ``Xi`` are the fit's own n x m arrays, ``None`` on a path's unselected fits.
     """
 
-    Theta: np.ndarray
-    Xi: np.ndarray
+    Theta: np.ndarray | None
+    Xi: np.ndarray | None
     S: np.ndarray | None = None
     F_trace: list = field(default_factory=list)
     k: int = 0
@@ -333,11 +334,11 @@ def _prepare(problem) -> PreparedProblem:
         alpha = None
     else:
         alpha = estimate_intercepts(Y, losses)
-        M = np.tile(alpha, (n, 1))
-        for k in counts:
-            # the count intercept is eliminated inside the loss; alpha[k]
-            # reports it but the mean column stays zero
-            M[:, k] = 0.0
+        row = alpha.copy()
+        # the count intercept is eliminated inside the loss; alpha[k]
+        # reports it but the mean column stays zero
+        row[list(counts)] = 0.0
+        M = np.broadcast_to(row, (n, m))  # a read-only (n, m) view of m floats
 
     losses = tuple(scale_to_unit_lipschitz(l) for l in losses)
 

@@ -15,7 +15,7 @@ EDGE_EPS = 1e-8
 
 @dataclass
 class PathResult:
-    """Per-penalty fits with their BIC scores and the selected index."""
+    """Per-penalty fits with their BIC scores and the selected index, the one fit that keeps Theta and Xi."""
 
     lambdas: np.ndarray
     fits: list
@@ -50,7 +50,11 @@ def lambda_grid(S1, n_points=30, ratio=0.01) -> np.ndarray:
     if lam_max <= 0.0:
         warnings.warn("all off-diagonal entries are zero; penalty grid collapses to {0}")
         return np.array([0.0])
-    return np.geomspace(lam_max, lam_max * ratio, n_points)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return np.geomspace(lam_max, lam_max * ratio, n_points)
+    except (ValueError, FloatingPointError):  # lam_max * ratio underflows to 0, or lam_max overflows
+        raise ValueError(f"penalty grid {lam_max:g} to {lam_max * ratio:g} is outside the float range") from None
 
 
 def degrees_of_freedom(W, eps=EDGE_EPS) -> int:
@@ -67,10 +71,11 @@ def bic(result: FitResult) -> float:
     S is the cross-product on which the fit's returned W was solved, built
     from its final gradient-step image (the linearized Gaussian proxy), which
     keeps one formula across all loss families.  log det W is the one the
-    estimate carries.
+    estimate carries.  It reads no n x m array, so it also scores the fits
+    of a path whose Theta and Xi were released.
     """
     W = result.estimate.W
-    n = result.state.Xi.shape[0]
+    n = result.M.shape[0]
     ll = float(np.sum(result.state.S * W)) - result.estimate.log_det
     return float(n * ll + np.log(n) * degrees_of_freedom(W))
 
@@ -82,7 +87,10 @@ def fit_path(problem, lambdas) -> PathResult:
     Each fit is warm started from the previous estimate and reuses its inverse
     and log det (largest penalty first), without changing solutions.
     Failed fits are recorded and skipped by the selection; ties in BIC
-    resolve to the larger penalty.
+    resolve to the larger penalty.  Each fit is scored as soon as it
+    returns, and every fit but the best so far gives up its n x m arrays
+    (``state.Theta`` and ``state.Xi`` become ``None``), so a path holds one
+    fit's n x m arrays plus the m x m ones of every penalty.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     if lambdas.size == 0:
@@ -93,27 +101,28 @@ def fit_path(problem, lambdas) -> PathResult:
     prepared = _prepare(problem)
     fits = [None] * lambdas.size
     errors = [None] * lambdas.size
+    scores = np.full(lambdas.size, np.inf)
     first_failure = None
     prev = None
+    selected = 0
     for i, lam in enumerate(lambdas):
         try:
             fits[i] = fit(replace(prepared, problem=replace(prepared.problem, lam=float(lam))), W_init=prev)
         except (ValueError, RuntimeError) as exc:
             errors[i] = f"lambda={lam:g}: {exc}"
             first_failure = first_failure or exc
-        else:
-            prev = fits[i].estimate
-
-    scores = np.full(lambdas.size, np.inf)
-    for i, res in enumerate(fits):
-        if res is not None:
-            scores[i] = bic(res)
+            continue
+        prev, scores[i] = fits[i].estimate, bic(fits[i])
+        # the argmin can only stay or move to i, so only those two fits can hold arrays
+        kept, selected = selected, int(np.argmin(scores))  # first minimum = largest lambda on ties
+        for j in {kept, i} - {selected}:
+            if fits[j] is not None:
+                fits[j].state.Theta = fits[j].state.Xi = None
     if not np.any(np.isfinite(scores)):
         # the problem passed preparation and the first fit is cold started,
         # so a ValueError there rejects the penalty (bad input), not the solver
         failure = type(first_failure) if first_failure else RuntimeError
         raise failure("every path fit failed: " + "; ".join(e for e in errors if e))
-    selected = int(np.argmin(scores))  # first minimum = largest lambda on ties
     return PathResult(lambdas=lambdas, fits=fits, bic=scores, selected_index=selected, errors=errors)
 
 

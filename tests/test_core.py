@@ -253,6 +253,18 @@ class TestIntercepts:
                 alpha = estimate_intercepts(data, quad_map(m))
                 assert np.array_equal(alpha, [np.mean(data[:, k]) for k in range(m)])
 
+    def test_prepared_mean_is_one_broadcast_row(self):
+        # intercept mode keeps m floats viewed as n x m, with count columns at zero;
+        # a mean matrix given by the caller is used as it is
+        Y = np.column_stack([synth_data("quadratic", 2, 50, seed=3), synth_data("poisson_reparam", 2, 50, seed=3)[:, :1]])
+        prob = FitProblem(Y=Y, losses=quad_map(2) + (ColumnLoss("poisson_reparam", {}),), lam=0.1)
+        p = _prepare(prob)
+        assert p.M.shape == Y.shape and p.M.strides == (0, p.M.itemsize)
+        assert not p.M.flags.writeable
+        assert np.array_equal(p.M, np.tile([p.intercepts[0], p.intercepts[1], 0.0], (50, 1)))
+        M = np.ones_like(Y)
+        assert _prepare(replace(prob, M=M)).M is M
+
     def test_bernoulli_balanced(self):
         Y = np.column_stack([np.array([0.0, 1.0, 0.0, 1.0]), np.array([1.0, 1.0, 0.0, 0.0])])
         losses = (make_loss("bernoulli"), make_loss("bernoulli"))
@@ -662,11 +674,20 @@ class TestAgainstReferenceLoop:
         lambdas = lambda_grid(first_iteration_s(prob), n_points=4)
         path = iggl.fit_path(prob, lambdas)
         W_prev = None
-        for lam, res in zip(lambdas, path.fits):
-            # each fit equals its own reference after every later fit of the path has run
-            assert_fit_equals_reference(res, reference_fit(replace(prob, lam=float(lam)), W_init=W_prev))
+        for i, (lam, res) in enumerate(zip(lambdas, path.fits)):
+            # each fit equals its own reference after every later fit of the path has run;
+            # only the selected fit keeps its n x m arrays
+            ref = reference_fit(replace(prob, lam=float(lam)), W_init=W_prev)
+            if i == path.selected_index:
+                assert_fit_equals_reference(res, ref)
+            else:
+                assert res.state.Theta is None and res.state.Xi is None
+                for name, value in (("W", res.estimate.W), ("F_trace", res.state.F_trace), ("S", res.state.S)):
+                    assert np.array_equal(np.asarray(value), np.asarray(ref[name])), name
+                assert res.converged == ref["converged"]
             W_prev = res.estimate.W
-        arrays = [a for res in path.fits for a in (res.state.Theta, res.state.Xi, res.estimate.W)]
+        arrays = [a for res in path.fits for a in (res.state.Theta, res.state.Xi, res.estimate.W) if a is not None]
+        assert len(arrays) == len(lambdas) + 2
         assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
 
 

@@ -1,4 +1,5 @@
 from dataclasses import replace
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,20 @@ class TestLambdaGrid:
         S = np.array([[2.0, 0.7], [0.7, 2.0]])
         assert np.array_equal(lambda_grid(S, n_points=1), [0.7])
 
+    @pytest.mark.parametrize("n_points", [1, 2, 30])
+    @pytest.mark.parametrize("off", [5e-324, 1e-322, np.finfo(float).max, np.inf])
+    def test_grid_outside_the_float_range_named(self, off, n_points):
+        # lambda_max * ratio underflows to 0, or lambda_max is too large for geomspace
+        S = np.array([[1.0, off], [off, 1.0]])
+        with pytest.raises(ValueError, match="^penalty grid .* is outside the float range$"):
+            lambda_grid(S, n_points=n_points)
+
+    @pytest.mark.parametrize("off", [5e-322, np.finfo(float).max / 1.0000001])
+    def test_grids_at_the_edges_of_the_float_range_are_geomspace(self, off):
+        S = np.array([[1.0, off], [off, 1.0]])
+        for n_points in (1, 2, 30):
+            assert np.array_equal(lambda_grid(S, n_points=n_points), np.geomspace(off, off * 0.01, n_points))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             lambda_grid(np.eye(2), n_points=0)
@@ -66,6 +81,13 @@ class TestBIC:
         counts = count_linalg(monkeypatch, "cholesky")
         assert bic(res) == expect
         assert counts["cholesky"] == 0
+
+    def test_same_score_without_the_n_by_m_arrays(self):
+        Y = synth_data("bernoulli", 4, 60, seed=3)
+        res = fit(FitProblem(Y=Y, losses=tuple(make_loss("bernoulli") for _ in range(4)), lam=0.1, max_outer=20))
+        before = bic(res)
+        res.state.Theta = res.state.Xi = None
+        assert bic(res) == before
 
     def test_diagonal_df(self):
         W = np.diag([1.0, 2.0, 3.0])
@@ -136,6 +158,28 @@ class TestFitPath:
         assert len(calls) == 1
         assert all(f is not None for f in path.fits)
         assert len({id(f.M) for f in path.fits}) == 1
+
+    def test_retained_memory_does_not_grow_with_the_grid(self):
+        # only the selected fit keeps its n x m arrays; each further penalty adds m x m ones
+        from iggl import first_iteration_s
+
+        Y = synth_data("quadratic", 4, 5000, seed=10)
+        prob = FitProblem(Y=Y, losses=quad_map(4), lam=0.0)
+        S1 = first_iteration_s(prob)
+        retained = {}
+        for n_points in (4, 16):
+            grid = lambda_grid(S1, n_points=n_points)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                path = fit_path(prob, grid)
+                retained[n_points] = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert all(f is not None for f in path.fits)
+            del path
+        assert retained[4] > Y.nbytes
+        assert retained[16] - retained[4] < Y.nbytes // 4
 
     def test_rejected_problem_raises_once(self):
         Y = synth_data("bernoulli", 3, 30, seed=16)
