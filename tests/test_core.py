@@ -256,7 +256,8 @@ class TestIntercepts:
     def test_prepared_mean_is_one_broadcast_row(self):
         # intercept mode keeps m floats viewed as n x m, with count columns at zero;
         # a mean matrix given by the caller is used as it is
-        Y = np.column_stack([synth_data("quadratic", 2, 50, seed=3), synth_data("poisson_reparam", 2, 50, seed=3)[:, :1]])
+        counts = synth_data("poisson_reparam", 2, 50, seed=3)[:, :1]
+        Y = np.column_stack([synth_data("quadratic", 2, 50, seed=3), counts])
         prob = FitProblem(Y=Y, losses=quad_map(2) + (ColumnLoss("poisson_reparam", {}),), lam=0.1)
         p = _prepare(prob)
         assert p.M.shape == Y.shape and p.M.strides == (0, p.M.itemsize)
