@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -53,7 +54,12 @@ def read_csv_matrix(path):
     """Read a headered numeric CSV into (names, matrix).
 
     Missing or non-numeric cells are rejected with a line/column diagnostic;
-    imputation is out of scope.
+    imputation is out of scope.  numpy's C reader parses the body in one
+    streaming pass, with the correctly rounded conversion of ``float``.  A
+    body it rejects, or reads into another shape or with a non-finite value,
+    is walked again row by row with ``float`` on each cell: that walk returns
+    the matrix for the cells only ``float`` accepts (``1_000``, non-ASCII
+    digits) and otherwise names the first bad row or cell.
     """
     try:
         fh = open(path, "r", newline="", encoding="utf-8")
@@ -68,6 +74,17 @@ def read_csv_matrix(path):
         names = [c.strip() for c in names]
         if len(set(names)) != len(names):
             raise InputError(f"{path}: duplicate column names in header")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # an empty body, which the row walk names
+                Y = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2, dtype=float)
+        except ValueError:
+            Y = None
+        if Y is not None and len(Y) and Y.shape[1] == len(names) and np.all(np.isfinite(Y)):
+            return names, Y
+        fh.seek(0)
+        reader = csv.reader(fh)
+        next(reader)
         rows = []
         for lineno, row in enumerate(reader, start=2):
             if not row:

@@ -10,7 +10,7 @@ learning problem:
     Xi    <- Theta - grad(losses)(Theta)          one unit gradient step
     S     <- (Xi - M)^T (Xi - M) / n              surrogate cross-product
     W     <- argmin  Tr(S W) - log det W + lam*l1(W)
-    Theta <- Xi + phi * (M - Xi) W                blend back through W
+    Theta <- Xi - phi * (Xi - M) W                blend back through W
 
 The unit step is valid because ``_prepare`` divides every gradient-Lipschitz
 bound above one down to one (a bound below one is kept), and with the inner
@@ -153,25 +153,24 @@ def xi_update(Theta, Y, losses, out=None) -> np.ndarray:
     return np.subtract(np.asarray(Theta, dtype=float), G, out=G)
 
 
-def theta_update(Xi, M, W, phi, out=None, work=None) -> np.ndarray:
-    """Blend the mean into the gradient-step image: M W phi + Xi (I - phi W).
+def theta_update(Xi, E, W, phi, out=None) -> np.ndarray:
+    """Blend the mean into the gradient-step image: Xi - phi (Xi - M) W = M W phi + Xi (I - phi W).
 
-    Requires I - phi W >= 0 (so the implicit shift decomposition stays
-    valid), checked exactly by a Cholesky factorization of
-    (1 + 1e-12)/phi I - W; violation raises before anything is written.
-    For a positive definite W this is phi * ||W||_2 <= 1.  No matrix square
-    roots are formed.  The result goes into ``out`` and M - Xi into
-    ``work`` when given (not Xi).
+    ``E`` is Xi - M, the array :func:`cross_product` writes.  Requires
+    I - phi W >= 0 (so the implicit shift decomposition stays valid),
+    checked exactly by a Cholesky factorization of (1 + 1e-12)/phi I - W;
+    violation raises before anything is written.  For a positive definite W
+    this is phi * ||W||_2 <= 1.  No matrix square roots are formed.  The
+    result goes into ``out`` when given (not Xi or E).
     """
     Xi = np.asarray(Xi, dtype=float)
-    M = np.asarray(M, dtype=float)
     W = np.asarray(W, dtype=float)
     try:
         np.linalg.cholesky(((1.0 + 1e-12) / phi) * np.eye(W.shape[0]) - W)
     except np.linalg.LinAlgError:
         raise ValueError("feasibility violated: phi * ||W||_2 > 1") from None
-    P = np.matmul(np.subtract(M, Xi, out=work), W, out=out)
-    return np.add(np.multiply(P, phi, out=P), Xi, out=P)
+    P = np.matmul(np.asarray(E, dtype=float), W, out=out)
+    return np.subtract(Xi, np.multiply(P, phi, out=P), out=P)
 
 
 def outer_objective(S, Theta, W, phi, lam, Y, losses, penalize_diagonal=False, out=None, work=None,
@@ -391,15 +390,19 @@ def fit(problem, W_init=None) -> FitResult:
     est = prepared.W0 if W_init is None else W_init
     # this fit's n x m arrays, written in place by every step
     Xi, A, B = Y.copy(), np.empty(Y.shape), np.empty(Y.shape)
-    Theta = theta_update(Y, M, warm_start(est, Y.shape[1])[0], phi, out=np.empty(Y.shape), work=A)  # checks W_init
+    Theta = theta_update(Y, np.subtract(Y, M, out=A), warm_start(est, Y.shape[1])[0], phi,
+                         out=np.empty(Y.shape))  # checks W_init
     state = IterState(Theta=Theta, Xi=Xi)
 
     def block_step(S, start, tol):
-        """Inner solve on S from ``start`` (W0, ``W_init`` or an estimate) to KKT residual ``tol``, then Theta and F."""
+        """Inner solve on S from ``start`` (W0, ``W_init`` or an estimate) to KKT residual ``tol``, then Theta and F.
+
+        A must hold Xi - M on entry; the objective overwrites it.
+        """
         inst = GGLInstance(S, lam, problem.penalize_diagonal, tol, problem.inner_max_iter)
         est = solve_ggl(inst, W_init=start)
         try:
-            theta_update(Xi, M, est.W, phi, out=Theta, work=A)
+            theta_update(Xi, A, est.W, phi, out=Theta)
         except ValueError:
             raise RuntimeError(
                 "inner solver returned W with phi * ||W||_2 > 1; feasibility of "
@@ -431,6 +434,7 @@ def fit(problem, W_init=None) -> FitResult:
     if est.kkt_residual > problem.inner_tol:
         # polish: one full-tolerance solve of the last block, a further
         # descent that replaces the last trace entry rather than adding one
+        np.subtract(Xi, M, out=A)
         est, F = block_step(S, est, problem.inner_tol)
         state.F_trace[-1] = F
         state.inner_iterations[-1] += est.iterations

@@ -47,6 +47,8 @@ def lambda_grid(S1, n_points=30, ratio=0.01) -> np.ndarray:
     off = np.abs(S1).copy()
     np.fill_diagonal(off, 0.0)
     lam_max = float(off.max())
+    if np.isnan(lam_max):
+        raise ValueError("penalty grid is not a number: S1 has a NaN off-diagonal")
     if lam_max <= 0.0:
         warnings.warn("all off-diagonal entries are zero; penalty grid collapses to {0}")
         return np.array([0.0])
@@ -58,11 +60,9 @@ def lambda_grid(S1, n_points=30, ratio=0.01) -> np.ndarray:
 
 
 def degrees_of_freedom(W, eps=EDGE_EPS) -> int:
-    """m diagonal parameters plus the nonzero strictly-upper-triangular entries."""
+    """m diagonal parameters plus the strictly-upper-triangular entries above ``eps`` (>= 0) in magnitude."""
     W = np.asarray(W)
-    m = W.shape[0]
-    iu = np.triu_indices(m, k=1)
-    return int(m + np.count_nonzero(np.abs(W[iu]) > eps))
+    return int(W.shape[0] + np.count_nonzero(np.abs(np.triu(W, 1)) > eps))
 
 
 def bic(result: FitResult) -> float:
@@ -95,6 +95,8 @@ def fit_path(problem, lambdas) -> PathResult:
     lambdas = np.asarray(lambdas, dtype=float)
     if lambdas.size == 0:
         raise ValueError("empty penalty grid")
+    if not np.all(np.isfinite(lambdas)):
+        raise ValueError("penalties must be finite")
     if lambdas.size > 1 and np.any(np.diff(lambdas) >= 0):
         raise ValueError("lambdas must be strictly descending")
 

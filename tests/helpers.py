@@ -1,7 +1,10 @@
 """Shared test utilities: random instances, loss maps, data synthesis,
 closed-form and brute-force inner-solver oracles, a counter of linear
-algebra calls, and a strict validator for the DOT subset the exporter emits."""
+algebra calls, a row-by-row CSV reader, and a strict validator for the DOT
+subset the exporter emits."""
 
+import csv
+import math
 import re
 from collections import Counter
 
@@ -19,9 +22,9 @@ from iggl import (
     sample_gaussian,
     sample_glm,
     solve_ggl,
-    theta_update,
     xi_update,
 )
+from iggl.cli import InputError
 from iggl.core import _prepare, cross_product
 
 ALL_KINDS = (
@@ -97,11 +100,11 @@ def reference_fit(problem, W_init=None):
     p = _prepare(problem)
     prob, Y, losses, M, phi = p.problem, p.Y, p.losses, p.M, p.phi
     W = p.W0 if W_init is None else 0.5 * (W_init + W_init.T)
-    Theta = theta_update(Y, M, W, phi)
+    Theta = Y + phi * ((M - Y) @ W)  # the blend written with M - Xi, not fit's Xi - M
 
     def block(Xi, S, W, tol):
         est = solve_ggl(GGLInstance(S, prob.lam, prob.penalize_diagonal, tol, prob.inner_max_iter), W_init=W)
-        Theta = theta_update(Xi, M, est.W, phi)
+        Theta = Xi + phi * ((M - Xi) @ est.W)
         return est, Theta, outer_objective(S, Theta, est.W, phi, prob.lam, Y, losses, prob.penalize_diagonal)
 
     F_trace, rel, outer_converged = [], 0.0, False
@@ -346,6 +349,56 @@ def _polish_on_support(S, W, support, signs, lam, pen, kkt_target, max_newton=60
     except ValueError:
         pass
     return None
+
+
+def reference_read_csv_matrix(path):
+    """The CSV reader as it was before numpy's C reader: ``csv.reader`` and ``float`` on every cell.
+
+    ``iggl.cli.read_csv_matrix`` must return the same names and matrix bits,
+    or raise the same error, on every file.
+    """
+    try:
+        fh = open(path, "r", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot open {path}: {exc}") from None
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            names = next(reader)
+        except StopIteration:
+            raise InputError(f"{path}: empty file") from None
+        names = [c.strip() for c in names]
+        if len(set(names)) != len(names):
+            raise InputError(f"{path}: duplicate column names in header")
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(names):
+                raise InputError(f"{path}: line {lineno}: expected {len(names)} fields, got {len(row)}")
+            try:
+                vals = np.asarray(row, dtype=float)
+            except ValueError:
+                vals = None
+            if vals is None or not np.all(np.isfinite(vals)):
+                raise _reference_bad_cell(path, lineno, row, names)
+            rows.append(vals)
+    if not rows:
+        raise InputError(f"{path}: no data rows")
+    return names, np.asarray(rows)
+
+
+def _reference_bad_cell(path, lineno, row, names):
+    for cell, name in zip(row, names):
+        cell = cell.strip()
+        if not cell:
+            return InputError(f"{path}: line {lineno}, column {name}: missing value")
+        try:
+            v = float(cell)
+        except ValueError:
+            return InputError(f"{path}: line {lineno}, column {name}: not numeric: {cell!r}")
+        if not math.isfinite(v):
+            return InputError(f"{path}: line {lineno}, column {name}: non-finite value")
 
 
 _DOT_ID = re.compile(r'^"(?:[^"\\]|\\.)*"$')

@@ -1,8 +1,10 @@
 import inspect
 import json
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -15,7 +17,7 @@ from iggl.cli import _PROBLEM_KEYS, _SCHEMA, main, read_csv_matrix, write_dot
 from iggl.losses import check_domain
 from iggl.select import EDGE_EPS
 
-from helpers import check_dot_grammar
+from helpers import check_dot_grammar, reference_read_csv_matrix
 
 
 def write(path, text):
@@ -103,6 +105,120 @@ class TestCsvIngestion:
         write(p, "a,b\n1.0,2.0,3.0\n")
         with pytest.raises(ValueError, match="expected 2 fields"):
             read_csv_matrix(str(p))
+
+    @pytest.mark.parametrize("n, m", [(1000, 60), (5000, 4)])
+    def test_body_is_read_without_a_list_of_rows(self, tmp_path, n, m):
+        # tracemalloc peak of one read: under two copies of Y (the row-by-row reader took 2.4 and 6.9)
+        Y = np.random.default_rng(4).standard_normal((n, m))
+        p = tmp_path / "big.csv"
+        write(p, "\n".join([",".join(f"x{k}" for k in range(m))] + [",".join(map(repr, row)) for row in Y.tolist()]))
+        read_csv_matrix(str(p))
+        tracemalloc.start()
+        try:
+            _, got = read_csv_matrix(str(p))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, Y)
+        assert peak < 2 * Y.nbytes
+
+
+def read_outcome(reader, path):
+    """(names, shape, bytes of Y) of a read, or (type, text) of the error it raised."""
+    try:
+        names, Y = reader(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return names, Y.shape, Y.dtype, Y.tobytes()
+
+
+_FUZZ_TOKENS = list("0123456789.e+-_\", \t\r\n#x") + ["nan", "inf", "\u0661", "\xa0"]
+
+
+def fuzz_csv(rnd):
+    """A small CSV: numbers, tokens drawn from _FUZZ_TOKENS, quoting, mixed line ends, stray tokens."""
+    m = rnd.randint(1, 3)
+    lines = [",".join(f"c{k}" for k in range(m))]
+    for _ in range(rnd.randint(0, 4)):
+        cells = []
+        for _ in range(m):
+            if rnd.random() < 0.8:
+                cell = repr(rnd.gauss(0.0, 1.0) * 10.0 ** rnd.randint(-8, 8))
+            else:
+                cell = "".join(rnd.choices(_FUZZ_TOKENS, k=rnd.randint(0, 4)))
+            cells.append(f'"{cell}"' if rnd.random() < 0.1 else cell)
+        lines.append(",".join(cells))
+    text = "".join(line + rnd.choice(("\n", "\r\n", "\r")) for line in lines)
+    for _ in range(rnd.choice((0, 0, 0, 1, 2))):
+        at = rnd.randint(0, len(text))
+        text = text[:at] + rnd.choice(_FUZZ_TOKENS) + text[at:]
+    return text if rnd.random() < 0.9 else text.rstrip("\r\n")
+
+
+class TestCsvReaderMatchesRowWalk:
+    """read_csv_matrix against the row-by-row reader it replaced: same names and bits, or the same error."""
+
+    @pytest.mark.filterwarnings("error")
+    def test_fuzzed_files(self, tmp_path):
+        rnd = random.Random(20161)
+        p = str(tmp_path / "fuzz.csv")
+        parsed = 0
+        for _ in range(2500):
+            text = fuzz_csv(rnd)
+            with open(p, "w", newline="", encoding="utf-8") as fh:
+                fh.write(text)
+            want = read_outcome(reference_read_csv_matrix, p)
+            assert read_outcome(read_csv_matrix, p) == want, repr(text)
+            parsed += isinstance(want[0], list)
+        # both outcomes are well represented
+        assert 500 < parsed < 2000
+
+    @pytest.mark.parametrize("body", [b"1,2\n3,\xff\n", b"4,5\n" * 5000 + b"6,\xfe\n", b"1,x\n2,\xff\n"])
+    def test_undecodable_bytes(self, tmp_path, body):
+        # the row walk decodes the file again from its start, so the error and its position are the same
+        p = tmp_path / "bytes.csv"
+        p.write_bytes(b"a,b\n" + body)
+        got = read_outcome(read_csv_matrix, str(p))
+        assert got == read_outcome(reference_read_csv_matrix, str(p))
+        assert got[0] in (UnicodeDecodeError, iggl.cli.InputError)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text, expect", [
+        ("a,b\r\n1,2\r\n3,4\r\n", [[1, 2], [3, 4]]),
+        ("a,b\r1,2\r3,4\r", [[1, 2], [3, 4]]),
+        ('"a\nx",b\n1,2\n3,4\n', [[1, 2], [3, 4]]),
+        ('"a\nx",b\n1,2\n3,x\n', "line 3, column b: not numeric: 'x'"),
+        ("a,b\n\n1,2\n\n\r\n3,4\n\n", [[1, 2], [3, 4]]),
+        ("a,b\n1,2\n  \n3,4\n", "line 3: expected 2 fields, got 1"),
+        ("a\n1\n\t\n", "line 3, column a: missing value"),
+        ("a,b\n1,2,\n", "line 2: expected 2 fields, got 3"),
+        ("a,b\n1,2\n3\n", "line 3: expected 2 fields, got 1"),
+        ("a,b\n1,#2\n", "line 2, column b: not numeric: '#2'"),
+        ("#a,b\n1,2\n", [[1, 2]]),
+        ("\ufeffa,b\n1,2\n", [[1, 2]]),
+        ("a,b\n\ufeff1,2\n", "line 2, column a: not numeric: '\\ufeff1'"),
+        ("a,b\n1,2\n3,4", [[1, 2], [3, 4]]),
+        ('a,b\n"1", 2 \n\xa03,"4"""\n', "line 3, column b: not numeric: '4\"'"),
+        ("a,b\n1_000,\u0661\n", [[1000, 1]]),
+        ("a,b\n1,2\n3,-inf\n", "line 3, column b: non-finite value"),
+        ("a,b\n1e400,2\n", "line 2, column a: non-finite value"),
+        ("a,b\n\n", "no data rows"),
+        ("", "empty file"),
+    ], ids=["crlf", "lone-cr", "quoted-header-newline", "quoted-header-newline-bad", "blank-lines",
+            "whitespace-line", "whitespace-line-one-column", "trailing-delimiter", "short-row", "hash-cell",
+            "hash-header", "bom", "bom-in-body", "no-final-newline", "quotes-and-spaces", "float-only-digits",
+            "infinite", "overflow", "header-only", "empty"])
+    def test_named_cases(self, tmp_path, text, expect):
+        p = str(tmp_path / "case.csv")
+        with open(p, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+        got = read_outcome(read_csv_matrix, p)
+        assert got == read_outcome(reference_read_csv_matrix, p)
+        if isinstance(expect, str):
+            assert got[1].startswith(f"{p}: ") and got[1].endswith(expect)
+        else:
+            expect = np.asarray(expect, dtype=float)
+            assert got[1:] == (expect.shape, np.float64, expect.tobytes())
 
 
 class TestSimulate:

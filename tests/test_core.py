@@ -105,56 +105,58 @@ class TestThetaUpdate:
         Xi = rng.standard_normal((6, 3))
         M = rng.standard_normal((6, 3))
         W = np.eye(3)
-        out = theta_update(Xi, M, W, 1e-12)
+        out = theta_update(Xi, Xi - M, W, 1e-12)
         assert np.allclose(out, Xi, atol=1e-10)
 
     def test_mean_fixed_point(self):
         rng = np.random.default_rng(3)
         Xi = rng.standard_normal((5, 2))
         W = np.array([[1.0, 0.2], [0.2, 1.0]])
-        out = theta_update(Xi, Xi, W, 0.3)
+        out = theta_update(Xi, Xi - Xi, W, 0.3)
         assert np.allclose(out, Xi, atol=1e-15)
 
     def test_half_blend(self):
         Xi = np.zeros((4, 2))
         M = np.ones((4, 2))
-        out = theta_update(Xi, M, np.eye(2), 0.5)
+        out = theta_update(Xi, Xi - M, np.eye(2), 0.5)
         assert np.allclose(out, 0.5 * M, atol=1e-15)
 
     def test_out_array_matches_fresh_result(self):
         rng = np.random.default_rng(2)
         Xi, M = rng.standard_normal((30, 4)), rng.standard_normal((30, 4))
         W = np.eye(4) + 0.1 * np.ones((4, 4))
-        Xi0, out, work = Xi.copy(), np.empty((30, 4)), np.empty((30, 4))
-        assert theta_update(Xi, M, W, 0.5, out=out, work=work) is out
-        assert np.array_equal(out, theta_update(Xi, M, W, 0.5))
+        E = Xi - M
+        Xi0, E0, out = Xi.copy(), E.copy(), np.empty((30, 4))
+        assert theta_update(Xi, E, W, 0.5, out=out) is out
+        assert np.array_equal(out, theta_update(Xi, E, W, 0.5))
+        # the same bits as the blend written with M - Xi
         assert np.array_equal(out, Xi + 0.5 * ((M - Xi) @ W))
-        assert np.array_equal(Xi, Xi0)
+        assert np.array_equal(Xi, Xi0) and np.array_equal(E, E0)
         # an infeasible W raises before anything is written
         out[:] = 7.0
         with pytest.raises(ValueError, match="feasibility"):
-            theta_update(Xi, M, 3.0 * W, 0.5, out=out, work=work)
+            theta_update(Xi, E, 3.0 * W, 0.5, out=out)
         assert np.all(out == 7.0)
 
     def test_feasibility_contract(self):
         with pytest.raises(ValueError):
-            theta_update(np.zeros((3, 2)), np.ones((3, 2)), 2.0 * np.eye(2), 0.9)
+            theta_update(np.zeros((3, 2)), -np.ones((3, 2)), 2.0 * np.eye(2), 0.9)
 
     def test_feasibility_check_is_exact(self):
         # I - phi W >= 0, not a norm bound: this W has Frobenius norm 4.8 but
         # spectral norm 1, so phi = 1 is feasible and phi = 1 + 1e-9 is not
-        Xi, M = np.zeros((3, 40)), np.ones((3, 40))
+        Xi, E = np.zeros((3, 40)), -np.ones((3, 40))
         W = np.diag(np.linspace(0.5, 1.0, 40))
-        theta_update(Xi, M, W, 1.0)
+        theta_update(Xi, E, W, 1.0)
         with pytest.raises(ValueError, match="feasibility"):
-            theta_update(Xi, M, W, 1.0 + 1e-9)
+            theta_update(Xi, E, W, 1.0 + 1e-9)
         rng = np.random.default_rng(6)
         Q, _ = np.linalg.qr(rng.standard_normal((40, 40)))
         W = (Q * np.linspace(0.1, 2.0, 40)) @ Q.T
         W = 0.5 * (W + W.T)
-        theta_update(Xi, M, W, 0.5 * (1.0 - 1e-9))
+        theta_update(Xi, E, W, 0.5 * (1.0 - 1e-9))
         with pytest.raises(ValueError, match="feasibility"):
-            theta_update(Xi, M, W, 0.5 * (1.0 + 1e-9))
+            theta_update(Xi, E, W, 0.5 * (1.0 + 1e-9))
 
 
 class TestOuterObjective:
@@ -227,7 +229,7 @@ class TestShiftEliminationIdentity:
         W = A @ A.T / m + 0.4 * np.eye(m)
         phi = 0.5 / float(np.linalg.eigvalsh(W)[-1])
         lam = 0.2
-        Theta = theta_update(Xi, M, W, phi)
+        Theta = theta_update(Xi, Xi - M, W, phi)
         S = (Xi - M).T @ (Xi - M) / n
         got = outer_objective(S, Theta, W, phi, lam, Y, quad_map(m))
         vals, vecs = np.linalg.eigh(np.eye(m) - phi * W)
@@ -612,7 +614,7 @@ class TestInexactInnerSolves:
         assert np.array_equal(S, st.S)
         assert kkt_residual(S, res.estimate.W, res.lam) <= prob.inner_tol
         assert st.inner_kkt[-1] == res.estimate.kkt_residual
-        assert np.array_equal(st.Theta, theta_update(st.Xi, res.M, res.estimate.W, res.phi))
+        assert np.array_equal(st.Theta, theta_update(st.Xi, st.Xi - res.M, res.estimate.W, res.phi))
 
     def test_all_quadratic_solves_at_full_tolerance(self):
         Y = synth_data("quadratic", 6, 80, seed=5)

@@ -56,6 +56,11 @@ class TestLambdaGrid:
         for n_points in (1, 2, 30):
             assert np.array_equal(lambda_grid(S, n_points=n_points), np.geomspace(off, off * 0.01, n_points))
 
+    def test_nan_off_diagonal_named(self):
+        # max() of the off-diagonals is NaN, which passes the <= 0 test and geomspace
+        with pytest.raises(ValueError, match="^penalty grid is not a number"):
+            lambda_grid(np.array([[1.0, np.nan], [np.nan, 1.0]]), n_points=3)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             lambda_grid(np.eye(2), n_points=0)
@@ -88,6 +93,15 @@ class TestBIC:
         before = bic(res)
         res.state.Theta = res.state.Xi = None
         assert bic(res) == before
+
+    def test_df_counts_the_upper_triangle(self):
+        # the same integers as indexing the strict upper triangle, also at ties, NaN and zero eps
+        rng = np.random.default_rng(21)
+        for m in (1, 2, 7, 30):
+            W = rng.choice([0.0, 1e-8, -1e-8, 2e-8, 0.5, -3.0, np.nan], size=(m, m))
+            iu = np.triu_indices(m, k=1)
+            for eps in (0.0, 1e-8, 1.0):
+                assert degrees_of_freedom(W, eps) == m + np.count_nonzero(np.abs(W[iu]) > eps)
 
     def test_diagonal_df(self):
         W = np.diag([1.0, 2.0, 3.0])
@@ -194,6 +208,15 @@ class TestFitPath:
         prob = FitProblem(Y=Y, losses=quad_map(3), lam=0.0)
         with pytest.raises(ValueError):
             fit_path(prob, [0.1, 0.2])
+
+    @pytest.mark.parametrize("lambdas", [[np.nan, np.nan], [0.2, np.nan], [np.inf, 0.1]])
+    def test_non_finite_penalties_rejected_before_any_fit(self, monkeypatch, lambdas):
+        # np.diff(...) >= 0 is False for NaN, so the descending check lets NaN through
+        Y = synth_data("quadratic", 3, 30, seed=8)
+        prob = FitProblem(Y=Y, losses=quad_map(3), lam=0.0)
+        monkeypatch.setattr("iggl.select.fit", lambda *a, **k: pytest.fail("fit called"))
+        with pytest.raises(ValueError, match="^penalties must be finite$"):
+            fit_path(prob, lambdas)
 
 
 class TestBregman:
