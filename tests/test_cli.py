@@ -173,6 +173,22 @@ class TestCsvReaderMatchesRowWalk:
         # both outcomes are well represented
         assert 500 < parsed < 2000
 
+    def test_long_and_halfway_decimals_round_like_float(self, tmp_path):
+        # the C reader must give float()'s correctly rounded bits, also where rounding is hardest
+        rnd = random.Random(8)
+        cells = ["9007199254740993", "9007199254740995", "4.9e-324", "2.4703282292062328e-324",
+                 "2.2250738585072011e-308", "1.00000000000000011102230246251565404236316680908203125",
+                 "1.7976931348623157e308", "0.1", "-0.0"]
+        for _ in range(6000):
+            digits = "".join(rnd.choices("0123456789", k=rnd.choice((17, 25, 40))))
+            cells.append(f"{rnd.choice(('', '-'))}{digits[0]}.{digits[1:]}e{rnd.randint(-340, 300)}")
+        cells = cells[:6000]
+        p = tmp_path / "digits.csv"
+        write(p, "a,b,c\n" + "\n".join(",".join(cells[i:i + 3]) for i in range(0, len(cells), 3)) + "\n")
+        _, got = read_csv_matrix(str(p))
+        want = np.array([float(c) for c in cells]).reshape(-1, 3)
+        assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("body", [b"1,2\n3,\xff\n", b"4,5\n" * 5000 + b"6,\xfe\n", b"1,x\n2,\xff\n"])
     def test_undecodable_bytes(self, tmp_path, body):
         # the row walk decodes the file again from its start, so the error and its position are the same
