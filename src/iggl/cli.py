@@ -16,6 +16,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 import warnings
 from dataclasses import asdict, replace
@@ -26,7 +27,7 @@ from . import __version__
 from .core import FitProblem, _prepare, fit, first_iteration_s
 from .datagen import GENERATOR_ID, GraphPattern, make_precision, sample_gaussian, sample_glm
 from .glasso import check_symmetric, log_det_pd
-from .losses import LOSS_KINDS, check_domain, loss_from_config
+from .losses import LOSS_KINDS, loss_from_config
 from .select import EDGE_EPS, bregman_sym, degrees_of_freedom, edge_metrics, fit_path, lambda_grid
 
 EXIT_OK = 0
@@ -66,7 +67,7 @@ def read_csv_matrix(path):
     except OSError as exc:
         raise InputError(f"cannot open {path}: {exc}") from None
     with fh:
-        reader = csv.reader(fh)
+        reader = _rows(fh, path)
         try:
             names = next(reader)
         except StopIteration:
@@ -83,7 +84,7 @@ def read_csv_matrix(path):
         if Y is not None and len(Y) and Y.shape[1] == len(names) and np.all(np.isfinite(Y)):
             return names, Y
         fh.seek(0)
-        reader = csv.reader(fh)
+        reader = _rows(fh, path)
         next(reader)
         rows = []
         for lineno, row in enumerate(reader, start=2):
@@ -101,6 +102,15 @@ def read_csv_matrix(path):
     if not rows:
         raise InputError(f"{path}: no data rows")
     return names, np.asarray(rows)
+
+
+def _rows(fh, path):
+    """``csv.reader``'s rows of ``fh``; its ``csv.Error`` (a field over the size limit) names the line."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise InputError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def _bad_cell(path, lineno, row, names):
@@ -200,8 +210,8 @@ def resolve_column_losses(cfg, names, Y):
     """Assign exactly one loss spec per column, then build the losses.
 
     Precedence: explicit column names, then index ranges (later entries
-    win), then the default.  Label and count domains are validated here so
-    errors can name the offending column.
+    win), then the default.  A column is read only for the robust scale of
+    ``*_mult`` cutoffs; its domain is checked once, by ``_prepare``.
     """
     m = len(names)
     section = cfg.get("losses", "quadratic")
@@ -235,26 +245,11 @@ def resolve_column_losses(cfg, names, Y):
 
     losses = []
     for k, (kind, params) in enumerate(specs):
-        y = Y[:, k]
         try:
-            check_domain(kind, y)
-            losses.append(loss_from_config(kind, params, column=y))
+            losses.append(loss_from_config(kind, params, column=Y[:, k]))
         except ValueError as exc:
             raise InputError(f"column {names[k]!r}: {exc}") from None
     return tuple(losses)
-
-
-def build_problem(cfg, Y, losses):
-    """The configured problem at penalty zero; callers set ``lam``."""
-    M = None
-    mean = cfg.get("mean", "intercept")
-    if mean != "intercept":
-        if not (isinstance(mean, dict) and set(mean) == {"given"}):
-            raise InputError("config: 'mean' must be \"intercept\" or {\"given\": \"path.csv\"}")
-        _, M = read_csv_matrix(mean["given"])
-        if M.shape != Y.shape:
-            raise InputError(f"mean matrix shape {M.shape} does not match data shape {Y.shape}")
-    return FitProblem(Y=Y, losses=losses, lam=0.0, M=M, **{key: cfg[key] for key in _PROBLEM_KEYS if key in cfg})
 
 
 def _lambda_plan(cfg):
@@ -361,7 +356,7 @@ def load_precision_json(path):
 # ---------------------------------------------------------------------------
 
 def _load_run(args):
-    """Config with the command-line flags applied over it, column names, and the penalty-free problem."""
+    """Config with the command-line flags applied over it, column names, and the prepared penalty-free problem."""
     cfg = load_config(args.config) if args.config else {}
     cfg.update((key, v) for key, v in vars(args).items() if v is not None and key in _SCHEMA["properties"])
     if not cfg.get("data"):
@@ -371,12 +366,23 @@ def _load_run(args):
         raise InputError("edge_threshold must be finite and positive")
     names, Y = read_csv_matrix(cfg["data"])
     losses = resolve_column_losses(cfg, names, Y)
-    return cfg, names, build_problem(cfg, Y, losses)
+    M = None
+    mean = cfg.get("mean", "intercept")
+    if mean != "intercept":
+        if not (isinstance(mean, dict) and set(mean) == {"given"}):
+            raise InputError("config: 'mean' must be \"intercept\" or {\"given\": \"path.csv\"}")
+        _, M = read_csv_matrix(mean["given"])
+        if M.shape != Y.shape:
+            raise InputError(f"mean matrix shape {M.shape} does not match data shape {Y.shape}")
+    problem = FitProblem(Y=Y, losses=losses, lam=0.0, M=M, **{key: cfg[key] for key in _PROBLEM_KEYS if key in cfg})
+    try:
+        return cfg, names, _prepare(problem)
+    except ValueError as exc:  # its column errors start "column k"; name k by its header
+        raise InputError(re.sub(r"^column (\d+)", lambda hit: f"column {names[int(hit[1])]!r}", str(exc))) from None
 
 
-def _run_path(problem, lam_spec):
-    """BIC path over the configured grid anchored on the first-iteration S, prepared once for both."""
-    prepared = _prepare(problem)
+def _run_path(prepared, lam_spec):
+    """BIC path over the configured grid anchored on the prepared problem's first-iteration S."""
     return fit_path(prepared, lambda_grid(first_iteration_s(prepared), **lam_spec))
 
 
@@ -397,18 +403,19 @@ def _write_result(cfg, names, result, path, default_out):
 
 
 def cmd_fit(args) -> int:
-    cfg, names, problem = _load_run(args)
+    cfg, names, prepared = _load_run(args)
     mode, lam_spec = _lambda_plan(cfg)
     if mode == "fixed":
-        return _write_result(cfg, names, fit(replace(problem, lam=lam_spec)), None, "result.json")
-    path = _run_path(problem, lam_spec)
+        result = fit(replace(prepared, problem=replace(prepared.problem, lam=lam_spec)))
+        return _write_result(cfg, names, result, None, "result.json")
+    path = _run_path(prepared, lam_spec)
     return _write_result(cfg, names, path.fits[path.selected_index], path, "result.json")
 
 
 def cmd_path(args) -> int:
-    cfg, names, problem = _load_run(args)
+    cfg, names, prepared = _load_run(args)
     mode, lam_spec = _lambda_plan(cfg)
-    path = fit_path(problem, [lam_spec]) if mode == "fixed" else _run_path(problem, lam_spec)
+    path = fit_path(prepared, [lam_spec]) if mode == "fixed" else _run_path(prepared, lam_spec)
     eps = cfg["edge_threshold"]
     with open(cfg.get("table", "path.csv"), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")

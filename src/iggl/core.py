@@ -323,6 +323,11 @@ def _prepare(problem) -> PreparedProblem:
             if loss.lipschitz < (1.0 - 1e-12) * bound:
                 raise ValueError(f"column {k}: {loss.kind} loss states gradient-Lipschitz bound "
                                  f"{loss.lipschitz:g} below its certified {bound:g}; build it with make_loss")
+    variances = np.var(Y, axis=0, ddof=1)  # checked before the intercept search runs away on a constant column
+    low = np.nonzero(variances < 1e-12)[0]
+    if low.size:
+        raise ValueError(f"column {int(low[0])} has (near-)zero variance")
+    W0 = np.diag(1.0 / variances)
     counts = poisson_preprocess(Y, [k for k, l in enumerate(losses) if l.kind == "poisson_reparam"])
     losses = [counts.get(k, l) for k, l in enumerate(losses)]
 
@@ -340,12 +345,6 @@ def _prepare(problem) -> PreparedProblem:
         M = np.broadcast_to(row, (n, m))  # a read-only (n, m) view of m floats
 
     losses = tuple(scale_to_unit_lipschitz(l) for l in losses)
-
-    variances = np.var(Y, axis=0, ddof=1)
-    low = np.nonzero(variances < 1e-12)[0]
-    if low.size:
-        raise ValueError(f"column {int(low[0])} has (near-)zero variance")
-    W0 = np.diag(1.0 / variances)
     phi = choose_phi(W0, problem.phi_c)
     return PreparedProblem(problem, Y, losses, M, alpha, W0, phi)
 

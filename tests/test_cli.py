@@ -1,3 +1,4 @@
+import csv
 import inspect
 import json
 import os
@@ -5,6 +6,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -105,6 +107,25 @@ class TestCsvIngestion:
         write(p, "a,b\n1.0,2.0,3.0\n")
         with pytest.raises(ValueError, match="expected 2 fields"):
             read_csv_matrix(str(p))
+
+    @pytest.mark.parametrize("text, line", [
+        pytest.param("a," + "b" * 200_000 + "\n1,2\n", 1, id="long-header-field"),
+        pytest.param("a,b\n1,x" + "0" * 200_000 + "\n", 2, id="long-cell-in-row-walk"),
+    ])
+    def test_field_over_the_csv_limit_names_its_line(self, tmp_path, capsys, text, line):
+        # csv.reader raises csv.Error, not ValueError, on a field over csv.field_size_limit()
+        p = tmp_path / "big.csv"
+        write(p, text)
+        message = f"{p}: line {line}: field larger than field limit ({csv.field_size_limit()})"
+        with pytest.raises(ValueError) as info:
+            read_csv_matrix(str(p))
+        assert str(info.value) == message
+        cfg = tmp_path / "cfg.json"
+        write(cfg, json.dumps({"losses": "quadratic", "lambda": 0.1}))
+        rc = main(["fit", "--data", str(p), "--config", str(cfg), "--out", str(tmp_path / "r.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("n, m", [(1000, 60), (5000, 4)])
     def test_body_is_read_without_a_list_of_rows(self, tmp_path, n, m):
@@ -359,30 +380,45 @@ class TestFit:
         rewritten = (json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
         assert rewritten == blob
 
-    def test_poisson_domain_error_names_column(self, tmp_path, capsys):
-        data = tmp_path / "Y.csv"
-        write(data, "a,b\n1,2\n-1,3\n0,1\n")
+    @pytest.mark.parametrize("command, lam", [("fit", 0.1), ("path", "auto")])
+    @pytest.mark.parametrize("loss, data, error", [
+        pytest.param("bernoulli", "u,v\n0,1\n1,2\n0,0\n", "column 'v': bernoulli loss requires labels in {0, 1}",
+                     id="bernoulli-label"),
+        pytest.param("lorenz", "u,v\n1,-1\n0,1\n-1,1\n", "column 'u': lorenz loss requires labels in {-1, +1}",
+                     id="margin-label"),
+        pytest.param("poisson_reparam", "u,v\n1,2\n3,-1\n0,1\n",
+                     "column 'v': count loss requires nonnegative integer entries", id="negative-count"),
+        pytest.param("poisson_reparam", "u,v\n1,0\n3,0\n0,0\n", "column 'v': count column sums to zero",
+                     id="zero-sum-count"),
+        pytest.param("bernoulli", "u,v\n1,0\n1,1\n1,0\n1,1\n", "column 'u' has (near-)zero variance",
+                     id="zero-variance"),
+    ])
+    def test_column_error_names_its_header(self, tmp_path, capsys, command, lam, loss, data, error):
+        # the library checks each column and reports "column k"; the CLI names k by its header
+        write(tmp_path / "Y.csv", data)
         cfg = tmp_path / "cfg.json"
-        write(cfg, json.dumps({"losses": "poisson_reparam", "lambda": 0.1}))
-        rc = main(["fit", "--data", str(data), "--config", str(cfg), "--out", str(tmp_path / "r.json")])
+        write(cfg, json.dumps({"losses": loss, "lambda": lam}))
+        table = ["--table", str(tmp_path / "t.csv")] if command == "path" else []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the zero-variance column is rejected before its intercept search
+            rc = main([command, "--data", str(tmp_path / "Y.csv"), "--config", str(cfg),
+                       "--out", str(tmp_path / "r.json"), *table])
         assert rc == 1
-        assert "'a'" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not (tmp_path / "r.json").exists() and not (tmp_path / "t.csv").exists()
 
-    def test_domain_checked_twice_per_column(self, tmp_path, monkeypatch):
-        # once by the CLI, which names the column by its header, and once by fit
-        calls = {"cli": 0, "core": 0}
-        for name, module in (("cli", iggl.cli), ("core", iggl.core)):
-            def counted(kind, y, name=name):
-                calls[name] += 1
-                check_domain(kind, y)
-            monkeypatch.setattr(module, "check_domain", counted)
+    def test_domain_checked_once_per_column(self, tmp_path, monkeypatch):
+        # by the library's preparation only; the CLI names its errors by the header
+        calls = []
+        monkeypatch.setattr(iggl.core, "check_domain", lambda kind, y: calls.append(kind) or check_domain(kind, y))
         assert main(["simulate", "--pattern", "chain", "--m", "4", "--n", "100", "--family", "poisson",
                      "--seed", "2", "--out-dir", str(tmp_path)]) == 0
         cfg = tmp_path / "cfg.json"
         write(cfg, json.dumps({"losses": "poisson_reparam", "lambda": 0.1, "max_outer": 5}))
         rc = main(["fit", "--data", str(tmp_path / "Y.csv"), "--config", str(cfg), "--out", str(tmp_path / "r.json")])
         assert rc in (0, 2)
-        assert calls == {"cli": 4, "core": 4}
+        assert calls == ["poisson_reparam"] * 4
+        assert not hasattr(iggl.cli, "check_domain")
 
     @pytest.mark.parametrize("spec, param", [
         ('{"huber": {"c": "2"}}', "c"),
@@ -659,20 +695,21 @@ class TestPath:
         assert "variance" in capsys.readouterr().err
 
 
-    def test_auto_lambda_prepares_once(self, tmp_path, monkeypatch):
-        import iggl.core
-
+    @pytest.mark.parametrize("command", ["fit", "path"])
+    @pytest.mark.parametrize("lam, fits", [(0.1, 1), ("auto", 30)], ids=["fixed", "auto"])
+    def test_every_run_mode_prepares_once(self, tmp_path, monkeypatch, command, lam, fits):
         sim = simulate(tmp_path)
         cfg = tmp_path / "cfg.json"
-        write(cfg, json.dumps({"losses": "quadratic", "lambda": "auto"}))
+        write(cfg, json.dumps({"losses": "quadratic", "lambda": lam}))
         calls = []
         original = iggl.core.choose_phi  # called once by every preparation
         monkeypatch.setattr(iggl.core, "choose_phi", lambda *a: calls.append(a) or original(*a))
-        rc = main(["path", "--data", str(sim / "Y.csv"), "--config", str(cfg),
-                   "--table", str(tmp_path / "t.csv"), "--out", str(tmp_path / "s.json")])
+        table = ["--table", str(tmp_path / "t.csv")] if command == "path" else []
+        rc = main([command, "--data", str(sim / "Y.csv"), "--config", str(cfg), "--out", str(tmp_path / "s.json"), *table])
         assert rc == 0
         assert len(calls) == 1
-        assert len(open(tmp_path / "t.csv").read().splitlines()) == 31
+        if command == "path":
+            assert len(open(tmp_path / "t.csv").read().splitlines()) == 1 + fits
 
 
 class TestMetrics:

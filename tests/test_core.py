@@ -1,3 +1,4 @@
+import warnings
 from collections import Counter
 from dataclasses import replace
 
@@ -461,6 +462,14 @@ class TestFit:
         Y = np.column_stack([np.ones(10), np.arange(10.0)])
         with pytest.raises(ValueError, match="variance"):
             fit(FitProblem(Y=Y, losses=quad_map(2), lam=0.1))
+
+    def test_constant_labels_rejected_before_the_intercept_search(self):
+        # the search on a constant Bernoulli column runs to its clipped range and warns
+        Y = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^column 0 has \(near-\)zero variance$"):
+                fit(FitProblem(Y=Y, losses=(make_loss("bernoulli"),) * 2, lam=0.1))
 
     def test_nonfinite_rejected(self):
         Y = np.ones((5, 2))
