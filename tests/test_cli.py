@@ -705,7 +705,8 @@ class TestPath:
         original = iggl.core.choose_phi  # called once by every preparation
         monkeypatch.setattr(iggl.core, "choose_phi", lambda *a: calls.append(a) or original(*a))
         table = ["--table", str(tmp_path / "t.csv")] if command == "path" else []
-        rc = main([command, "--data", str(sim / "Y.csv"), "--config", str(cfg), "--out", str(tmp_path / "s.json"), *table])
+        rc = main([command, "--data", str(sim / "Y.csv"), "--config", str(cfg),
+                   "--out", str(tmp_path / "s.json"), *table])
         assert rc == 0
         assert len(calls) == 1
         if command == "path":
