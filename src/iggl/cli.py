@@ -4,9 +4,10 @@ Four subcommands: ``fit`` (one penalty or BIC-selected), ``path`` (full
 penalty path with a per-penalty table), ``simulate`` (synthetic data with
 known ground truth), and ``metrics`` (compare two precision matrices).
 Inputs are headered CSV plus a JSON config; outputs are result JSON, DOT
-graphs, and CSV tables.  Exit codes: 0 success, 1 input or config error,
-2 non-convergence (the result file is still written, flagged), 3 numerical
-failure of the solver (no result is written).
+graphs, and CSV tables.  Exit codes: 0 success, 1 input or config error
+or an output that cannot be written, 2 non-convergence (the result file is
+still written, flagged), 3 numerical failure of the solver (no result is
+written).
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ def read_csv_matrix(path):
     with fh:
         reader = _rows(fh, path)
         try:
-            names = next(reader)
+            _, names = next(reader)
         except StopIteration:
             raise InputError(f"{path}: empty file") from None
         names = [c.strip() for c in names]
@@ -87,7 +88,7 @@ def read_csv_matrix(path):
         reader = _rows(fh, path)
         next(reader)
         rows = []
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in reader:
             if not row:
                 continue
             if len(row) != len(names):
@@ -105,10 +106,11 @@ def read_csv_matrix(path):
 
 
 def _rows(fh, path):
-    """``csv.reader``'s rows of ``fh``; its ``csv.Error`` (a field over the size limit) names the line."""
+    """``csv.reader``'s rows of ``fh``, each with the physical line it ends on; a ``csv.Error`` names its line."""
     reader = csv.reader(fh)
     try:
-        yield from reader
+        for row in reader:
+            yield reader.line_num, row
     except csv.Error as exc:
         raise InputError(f"{path}: line {reader.line_num}: {exc}") from None
 
@@ -277,13 +279,10 @@ def _dump_json(obj, path):
 
 
 def edge_list(W, names, eps):
-    edges = []
-    m = W.shape[0]
-    for i in range(m):
-        for j in range(i + 1, m):
-            if abs(W[i, j]) > eps:
-                edges.append({"i": i, "j": j, "source": names[i], "target": names[j], "weight": float(W[i, j])})
-    return edges
+    """The strictly-upper-triangular entries above ``eps`` in magnitude (``degrees_of_freedom``'s rule), by row."""
+    rows, cols = np.nonzero(np.abs(np.triu(W, 1)) > eps)
+    return [{"i": i, "j": j, "source": names[i], "target": names[j], "weight": float(W[i, j])}
+            for i, j in zip(rows.tolist(), cols.tolist())]
 
 
 def write_dot(path, names, edges, drop_isolated=False):
@@ -313,7 +312,8 @@ def _loss_public(loss):
             "scale_factor": float(loss.scale_factor), "lipschitz": float(loss.lipschitz)}
 
 
-def fit_result_document(result, names, eps, selection=None):
+def fit_result_document(result, names, eps, path=None):
+    """The result JSON of ``result``; a path's fit also gets the path's penalties, BIC scores and selected index."""
     W = result.estimate.W
     doc = {
         "format": 1,
@@ -334,8 +334,12 @@ def fit_result_document(result, names, eps, selection=None):
         "edges": edge_list(W, names, eps),
         "W": [[float(v) for v in row] for row in W],
     }
-    if selection is not None:
-        doc["selection"] = selection
+    if path is not None:
+        doc["selection"] = {
+            "lambdas": [float(v) for v in path.lambdas],
+            "bic": [None if not np.isfinite(b) else float(b) for b in path.bic],
+            "selected_index": int(path.selected_index),
+        }
     return doc
 
 
@@ -381,58 +385,34 @@ def _load_run(args):
         raise InputError(re.sub(r"^column (\d+)", lambda hit: f"column {names[int(hit[1])]!r}", str(exc))) from None
 
 
-def _run_path(prepared, lam_spec):
-    """BIC path over the configured grid anchored on the prepared problem's first-iteration S."""
-    return fit_path(prepared, lambda_grid(first_iteration_s(prepared), **lam_spec))
-
-
-def _write_result(cfg, names, result, path, default_out):
-    """Result JSON (with the path's selection, if any) and optional DOT graph."""
-    eps = cfg["edge_threshold"]
-    selection = None
-    if path is not None:
-        selection = {
-            "lambdas": [float(v) for v in path.lambdas],
-            "bic": [None if not np.isfinite(b) else float(b) for b in path.bic],
-            "selected_index": int(path.selected_index),
-        }
-    _dump_json(fit_result_document(result, names, eps, selection), cfg.get("out", default_out))
-    if cfg.get("dot"):
-        write_dot(cfg["dot"], names, edge_list(result.estimate.W, names, eps), cfg.get("drop_isolated", False))
-    return EXIT_OK if result.converged else EXIT_NONCONVERGED
-
-
-def cmd_fit(args) -> int:
+def cmd_run(args) -> int:
+    """``fit`` and ``path``: one penalty (a one-point path under ``path``) or a BIC path, then their outputs."""
     cfg, names, prepared = _load_run(args)
     mode, lam_spec = _lambda_plan(cfg)
-    if mode == "fixed":
+    path = None
+    if mode == "fixed" and args.command == "fit":
         result = fit(replace(prepared, problem=replace(prepared.problem, lam=lam_spec)))
-        return _write_result(cfg, names, result, None, "result.json")
-    path = _run_path(prepared, lam_spec)
-    return _write_result(cfg, names, path.fits[path.selected_index], path, "result.json")
-
-
-def cmd_path(args) -> int:
-    cfg, names, prepared = _load_run(args)
-    mode, lam_spec = _lambda_plan(cfg)
-    path = fit_path(prepared, [lam_spec]) if mode == "fixed" else _run_path(prepared, lam_spec)
+    else:
+        lambdas = [lam_spec] if mode == "fixed" else lambda_grid(first_iteration_s(prepared), **lam_spec)
+        path = fit_path(prepared, lambdas)
+        result = path.fits[path.selected_index]
     eps = cfg["edge_threshold"]
-    with open(cfg.get("table", "path.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["lambda", "objective", "df", "bic", "converged"])
-        for i, lam in enumerate(path.lambdas):
-            res = path.fits[i]
-            if res is None:
-                writer.writerow([repr(float(lam)), "", "", "", "failed"])
-            else:
-                writer.writerow([
-                    repr(float(lam)),
-                    repr(float(res.state.F_trace[-1])),
-                    degrees_of_freedom(res.estimate.W, eps),
-                    repr(float(path.bic[i])),
-                    str(bool(res.converged)).lower(),
-                ])
-    return _write_result(cfg, names, path.fits[path.selected_index], path, "selected.json")
+    if args.command == "path":
+        with open(cfg.get("table", "path.csv"), "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["lambda", "objective", "df", "bic", "converged"])
+            for lam, res, score in zip(path.lambdas, path.fits, path.bic):
+                if res is None:
+                    writer.writerow([repr(float(lam)), "", "", "", "failed"])
+                else:
+                    writer.writerow([repr(float(lam)), repr(float(res.state.F_trace[-1])),
+                                     degrees_of_freedom(res.estimate.W, eps), repr(float(score)),
+                                     str(bool(res.converged)).lower()])
+    doc = fit_result_document(result, names, eps, path)
+    _dump_json(doc, cfg.get("out", args.default_out))
+    if cfg.get("dot"):
+        write_dot(cfg["dot"], names, doc["edges"], cfg.get("drop_isolated", False))
+    return EXIT_OK if result.converged else EXIT_NONCONVERGED
 
 
 def _resolve_seed(args) -> int:
@@ -546,12 +526,12 @@ def build_parser():
     run.add_argument("--drop-isolated", dest="drop_isolated", action="store_const", const=True)
     p_fit = sub.add_parser("fit", parents=[run], help="fit at one penalty (or BIC-select with lambda=auto)")
     p_fit.add_argument("--out", help="result JSON path (default result.json)")
-    p_fit.set_defaults(func=cmd_fit)
+    p_fit.set_defaults(func=cmd_run, default_out="result.json")
 
     p_path = sub.add_parser("path", parents=[run], help="fit a penalty path and select by BIC")
     p_path.add_argument("--out", help="selected-model JSON path (default selected.json)")
     p_path.add_argument("--table", help="per-penalty CSV table (default path.csv)")
-    p_path.set_defaults(func=cmd_path)
+    p_path.set_defaults(func=cmd_run, default_out="selected.json")
 
     p_sim = sub.add_parser("simulate", help="generate synthetic data with known ground truth")
     p_sim.add_argument("--pattern", choices=["chain", "random", "hub"], required=True)
@@ -579,7 +559,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # an OSError here is an output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except RuntimeError as exc:

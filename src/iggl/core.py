@@ -143,7 +143,7 @@ def spectral_norm(W) -> float:
 def choose_phi(W0, c) -> float:
     """phi = c / ||W0||_2 for the positive diagonal W0, whose 2-norm is its largest entry."""
     if not 0.0 < c < 1.0:
-        raise ValueError("c must lie in (0, 1)")
+        raise ValueError("phi_c must lie in (0, 1)")
     return c / float(np.max(np.diag(W0)))
 
 
@@ -328,6 +328,7 @@ def _prepare(problem) -> PreparedProblem:
     if low.size:
         raise ValueError(f"column {int(low[0])} has (near-)zero variance")
     W0 = np.diag(1.0 / variances)
+    phi = choose_phi(W0, problem.phi_c)
     counts = poisson_preprocess(Y, [k for k, l in enumerate(losses) if l.kind == "poisson_reparam"])
     losses = [counts.get(k, l) for k, l in enumerate(losses)]
 
@@ -345,7 +346,6 @@ def _prepare(problem) -> PreparedProblem:
         M = np.broadcast_to(row, (n, m))  # a read-only (n, m) view of m floats
 
     losses = tuple(scale_to_unit_lipschitz(l) for l in losses)
-    phi = choose_phi(W0, problem.phi_c)
     return PreparedProblem(problem, Y, losses, M, alpha, W0, phi)
 
 

@@ -371,7 +371,8 @@ def reference_read_csv_matrix(path):
         if len(set(names)) != len(names):
             raise InputError(f"{path}: duplicate column names in header")
         rows = []
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num  # the physical line on which the record ends
             if not row:
                 continue
             if len(row) != len(names):

@@ -224,7 +224,9 @@ class TestCsvReaderMatchesRowWalk:
         ("a,b\r\n1,2\r\n3,4\r\n", [[1, 2], [3, 4]]),
         ("a,b\r1,2\r3,4\r", [[1, 2], [3, 4]]),
         ('"a\nx",b\n1,2\n3,4\n', [[1, 2], [3, 4]]),
-        ('"a\nx",b\n1,2\n3,x\n', "line 3, column b: not numeric: 'x'"),
+        ('"a\nx",b\n1,2\n3,x\n', "line 4, column b: not numeric: 'x'"),
+        ('a,b\n1,"2\n"\n3,x\n', "line 4, column b: not numeric: 'x'"),
+        ('a,b\n1,"x\ny"\n', "line 3, column b: not numeric: 'x\\ny'"),
         ("a,b\n\n1,2\n\n\r\n3,4\n\n", [[1, 2], [3, 4]]),
         ("a,b\n1,2\n  \n3,4\n", "line 3: expected 2 fields, got 1"),
         ("a\n1\n\t\n", "line 3, column a: missing value"),
@@ -241,7 +243,8 @@ class TestCsvReaderMatchesRowWalk:
         ("a,b\n1e400,2\n", "line 2, column a: non-finite value"),
         ("a,b\n\n", "no data rows"),
         ("", "empty file"),
-    ], ids=["crlf", "lone-cr", "quoted-header-newline", "quoted-header-newline-bad", "blank-lines",
+    ], ids=["crlf", "lone-cr", "quoted-header-newline", "quoted-header-newline-bad", "quoted-cell-newline-then-bad",
+            "quoted-cell-newline-bad", "blank-lines",
             "whitespace-line", "whitespace-line-one-column", "trailing-delimiter", "short-row", "hash-cell",
             "hash-header", "bom", "bom-in-body", "no-final-newline", "quotes-and-spaces", "float-only-digits",
             "infinite", "overflow", "header-only", "empty"])
@@ -628,6 +631,9 @@ class TestFit:
         ({"edge_threshold": -1}, "edge_threshold"),
         ({"inner_tol": -1}, "inner_tol"),
         ({"outer_tol": float("nan")}, "outer_tol"),
+        ({"phi_c": 0}, "phi_c"),
+        ({"phi_c": 1}, "phi_c"),
+        ({"phi_c": 1.5}, "phi_c"),
     ])
     def test_out_of_range_option_rejected(self, tmp_path, capsys, cfg, key):
         sim = simulate(tmp_path)
@@ -711,6 +717,105 @@ class TestPath:
         assert len(calls) == 1
         if command == "path":
             assert len(open(tmp_path / "t.csv").read().splitlines()) == 1 + fits
+
+
+def run_outputs(tmp_path, command, lam, name):
+    """Run ``command`` at ``lam`` on simulate()'s data with every output named; the bytes of each file written."""
+    paths = {ext: tmp_path / f"{name}.{ext}" for ext in ("json", "dot", "csv")}
+    cfg = tmp_path / f"{name}-cfg.json"
+    write(cfg, json.dumps({"losses": "quadratic", "lambda": lam, "table": str(paths["csv"])}))
+    rc = main([command, "--data", str(tmp_path / "sim" / "Y.csv"), "--config", str(cfg),
+               "--out", str(paths["json"]), "--dot", str(paths["dot"])])
+    assert rc == 0
+    return {ext: p.read_bytes() for ext, p in paths.items() if p.exists()}
+
+
+class TestRun:
+    """``iggl fit`` and ``iggl path`` differ only in the default output name, the table and a fixed lambda."""
+
+    def test_auto_fit_and_path_write_the_same_result(self, tmp_path):
+        simulate(tmp_path)
+        by_fit = run_outputs(tmp_path, "fit", "auto", "fit")
+        by_path = run_outputs(tmp_path, "path", "auto", "path")
+        assert by_fit["json"] == by_path["json"]
+        assert by_fit["dot"] == by_path["dot"]
+        assert "csv" not in by_fit
+        assert len(by_path["csv"].splitlines()) == 31
+
+    def test_fixed_lambda(self, tmp_path):
+        # one fit under fit; a one-point path, with its selection and a one-row table, under path
+        simulate(tmp_path)
+        by_fit = run_outputs(tmp_path, "fit", 0.15, "fit")
+        by_path = run_outputs(tmp_path, "path", 0.15, "path")
+        assert "csv" not in by_fit
+        fit_doc, path_doc = json.loads(by_fit["json"]), json.loads(by_path["json"])
+        selection = path_doc.pop("selection")
+        assert selection["lambdas"] == [0.15] and len(selection["bic"]) == 1 and selection["selected_index"] == 0
+        assert path_doc == fit_doc and by_fit["dot"] == by_path["dot"]
+        header, row = by_path["csv"].decode().splitlines()
+        assert header == "lambda,objective,df,bic,converged"
+        assert row.startswith("0.15,") and row.endswith(",true")
+
+    @pytest.mark.parametrize("command, written", [("fit", ["result.json"]), ("path", ["path.csv", "selected.json"])])
+    def test_default_output_names(self, tmp_path, monkeypatch, command, written):
+        sim = simulate(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        write(cfg, json.dumps({"losses": "quadratic", "lambda": {"n_points": 3}}))
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        assert main([command, "--data", str(sim / "Y.csv"), "--config", str(cfg)]) == 0
+        assert sorted(os.listdir(run_dir)) == written
+
+    @pytest.mark.parametrize("command", ["fit", "path"])
+    def test_edge_list_built_once_per_run(self, tmp_path, monkeypatch, command):
+        calls = []
+        original = iggl.cli.edge_list
+        monkeypatch.setattr(iggl.cli, "edge_list", lambda *a: calls.append(a) or original(*a))
+        simulate(tmp_path)
+        assert "dot" in run_outputs(tmp_path, command, 0.15, command)
+        assert len(calls) == 1
+
+    def test_edge_list_matches_a_double_loop(self):
+        eps = 1e-3
+        rng = np.random.default_rng(19)
+        W = rng.choice([-2 * eps, -eps, 0.0, eps, 2 * eps], size=(12, 12)) + rng.choice([0.0, 0.3], size=(12, 12))
+        assert np.any(np.triu(W, 1) == eps) and np.any(np.triu(W, 1) == -eps)
+        names = [f"n{k}" for k in range(12)]
+        want = [{"i": i, "j": j, "source": names[i], "target": names[j], "weight": float(W[i, j])}
+                for i in range(12) for j in range(i + 1, 12) if abs(W[i, j]) > eps]
+        got = iggl.cli.edge_list(W, names, eps)
+        assert got == want
+        assert json.dumps(got) == json.dumps(want)
+
+    @pytest.mark.parametrize("command, flag, target", [
+        ("fit", "--out", "nodir/r.json"),
+        ("path", "--table", "nodir/t.csv"),
+        ("fit", "--dot", "nodir/g.dot"),
+        ("fit", "--out", "adir"),
+    ], ids=["out-in-missing-dir", "table-in-missing-dir", "dot-in-missing-dir", "out-is-a-dir"])
+    def test_unwritable_output_exits_1(self, tmp_path, capsys, command, flag, target):
+        sim = simulate(tmp_path)
+        (tmp_path / "adir").mkdir()
+        cfg = tmp_path / "cfg.json"
+        write(cfg, json.dumps({"losses": "quadratic", "lambda": 0.15}))
+        flags = {"--out": str(tmp_path / "r.json"), flag: str(tmp_path / target)}
+        if command == "path":
+            flags.setdefault("--table", str(tmp_path / "t.csv"))
+        rc = main([command, "--data", str(sim / "Y.csv"), "--config", str(cfg), *(x for kv in flags.items() for x in kv)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(tmp_path / target) in err and "Traceback" not in err
+
+    def test_simulate_into_a_file_exits_1(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        write(blocker, "")
+        out_dir = str(blocker / "sub")
+        rc = main(["simulate", "--pattern", "chain", "--m", "4", "--n", "10", "--out-dir", out_dir])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and out_dir in err and "Traceback" not in err
 
 
 class TestMetrics:

@@ -48,8 +48,18 @@ class TestChoosePhi:
         assert choose_phi(2.0 * np.eye(3), 0.5) == pytest.approx(0.25, rel=1e-7)
 
     def test_rejects_bad_c(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^phi_c must lie in \(0, 1\)$"):
             choose_phi(np.eye(2), 1.5)
+
+    @pytest.mark.parametrize("M", [None, np.zeros((3, 2))], ids=["intercepts", "bad-M-shape"])
+    def test_phi_c_checked_before_the_intercept_search(self, monkeypatch, M):
+        # also ahead of the M shape error
+        calls = []
+        monkeypatch.setattr(iggl.core, "estimate_intercepts", lambda *a: calls.append(a))
+        Y = np.random.default_rng(0).standard_normal((20, 2))
+        with pytest.raises(ValueError, match=r"^phi_c must lie in \(0, 1\)$"):
+            fit(FitProblem(Y=Y, losses=quad_map(2), lam=0.1, M=M, phi_c=1.5))
+        assert calls == []
 
     def test_spectral_norm_is_exact(self):
         # top eigenvector (1, -1)/sqrt(2) is orthogonal to the ones vector
