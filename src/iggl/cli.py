@@ -13,6 +13,7 @@ written).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -303,6 +304,20 @@ def write_dot(path, names, edges, drop_isolated=False):
         fh.write("\n".join(lines) + "\n")
 
 
+def write_table(out, path, eps):
+    """The path table: one row per penalty, ``failed`` where its fit raised."""
+    with open(out, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["lambda", "objective", "df", "bic", "converged"])
+        for lam, res, score in zip(path.lambdas, path.fits, path.bic):
+            if res is None:
+                writer.writerow([repr(float(lam)), "", "", "", "failed"])
+            else:
+                writer.writerow([repr(float(lam)), repr(float(res.state.F_trace[-1])),
+                                 degrees_of_freedom(res.estimate.W, eps), repr(float(score)),
+                                 str(bool(res.converged)).lower()])
+
+
 def _dot_quote(name):
     return '"' + str(name).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
@@ -397,21 +412,23 @@ def cmd_run(args) -> int:
         path = fit_path(prepared, lambdas)
         result = path.fits[path.selected_index]
     eps = cfg["edge_threshold"]
-    if args.command == "path":
-        with open(cfg.get("table", "path.csv"), "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["lambda", "objective", "df", "bic", "converged"])
-            for lam, res, score in zip(path.lambdas, path.fits, path.bic):
-                if res is None:
-                    writer.writerow([repr(float(lam)), "", "", "", "failed"])
-                else:
-                    writer.writerow([repr(float(lam)), repr(float(res.state.F_trace[-1])),
-                                     degrees_of_freedom(res.estimate.W, eps), repr(float(score)),
-                                     str(bool(res.converged)).lower()])
     doc = fit_result_document(result, names, eps, path)
-    _dump_json(doc, cfg.get("out", args.default_out))
+    outputs = [(cfg.get("out", args.default_out), lambda out: _dump_json(doc, out))]
+    if args.command == "path":
+        outputs.insert(0, (cfg.get("table", "path.csv"), lambda out: write_table(out, path, eps)))
     if cfg.get("dot"):
-        write_dot(cfg["dot"], names, doc["edges"], cfg.get("drop_isolated", False))
+        outputs.append((cfg["dot"], lambda out: write_dot(out, names, doc["edges"], cfg.get("drop_isolated", False))))
+    mine = []  # the files this run wrote, and one it created before its write failed
+    try:
+        for out, write in outputs:
+            mine += [] if os.path.exists(out) else [out]
+            write(out)
+            mine.append(out)
+    except OSError:  # an output that cannot be written leaves none of this run's outputs behind
+        for out in mine:
+            with contextlib.suppress(OSError):
+                os.remove(out)
+        raise
     return EXIT_OK if result.converged else EXIT_NONCONVERGED
 
 
@@ -559,12 +576,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:  # an OSError here is an output that cannot be written
+    except (ValueError, OSError, RuntimeError) as exc:  # an OSError here is an output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return EXIT_NUMERICAL if isinstance(exc, RuntimeError) else EXIT_INPUT
 
 
 if __name__ == "__main__":

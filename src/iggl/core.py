@@ -15,8 +15,10 @@ learning problem:
 The unit step is valid because ``_prepare`` divides every gradient-Lipschitz
 bound above one down to one (a bound below one is kept), and with the inner
 solver warm started from the previous W the objective trace is
-non-increasing.  With all-quadratic losses Xi stays equal to Y, so the loop
-degenerates to a single inner solve plus one confirming pass.
+non-increasing.  A quadratic column of unit scale steps exactly onto its data,
+so when every column is one, Xi stays equal to Y and S is its cross-product,
+which ``_prepare`` computes once for all the fits of a path; each fit is a
+single inner solve plus one confirming pass.
 
 The inner solves are inexact block steps: every accepted step of the
 warm-started solver lowers the inner objective, so a partial solve still
@@ -32,15 +34,16 @@ state).  Everything but the penalty (domain checks, count reparameterization,
 intercepts and M, loss scaling, W0, phi) is resolved once, by ``_prepare``,
 into a :class:`PreparedProblem` that a whole penalty path shares.
 
-``fit`` allocates its n x m arrays once (Theta, Xi, two scratch arrays) and
-passes them to every step as ``out=``/``work=``; without them each step
-returns a fresh array.  Every inner solve starts from the previous estimate,
-reusing its inverse and log det; the first starts from ``W_init`` or W0.
+``fit`` allocates its n x m arrays once (Theta, Xi, a copy of Y that only a
+gradient step changes, and two scratch arrays) and passes them to every step
+as ``out=``/``work=``; without them each step returns a fresh array.  Every
+inner solve starts from the previous estimate, reusing its inverse and log
+det; the first starts from ``W_init`` or W0.
 
 phi is fixed for the whole run at ``phi_c / ||W0||_2``, the largest entry
 of the diagonal W0.  A warm start and every iterate must keep ``I - phi*W``
-positive semi-definite; :func:`theta_update` checks this exactly, by a
-Cholesky factorization of ``(1 + 1e-12)/phi * I - W``.
+positive semi-definite; :func:`theta_update` (and ``fit``, for a warm start it does
+not blend) checks this exactly, by a Cholesky factorization of ``(1 + 1e-12)/phi * I - W``.
 """
 
 from __future__ import annotations
@@ -99,6 +102,7 @@ class PreparedProblem:
     intercepts: np.ndarray | None
     W0: np.ndarray
     phi: float
+    S: np.ndarray | None = None  # read-only cross-product of Y when every column steps exactly onto Y
 
 
 @dataclass
@@ -147,10 +151,25 @@ def choose_phi(W0, c) -> float:
     return c / float(np.max(np.diag(W0)))
 
 
+def _exact_columns(losses):  # the columns whose unit step lands exactly on Y
+    return [k for k, loss in enumerate(losses) if loss.kind == "quadratic" and loss.scale_factor == 1.0]
+
+
 def xi_update(Theta, Y, losses, out=None) -> np.ndarray:
-    """One unit gradient step on the summed marginal loss: Theta - grad (into ``out``, not Theta)."""
+    """One unit gradient step on the summed loss: Theta - grad (into ``out``, not Theta); Y on exact columns."""
     G = batch_grad(losses, Theta, Y, out=out)
-    return np.subtract(np.asarray(Theta, dtype=float), G, out=G)
+    Xi = np.subtract(np.asarray(Theta, dtype=float), G, out=G)
+    exact = _exact_columns(losses)
+    if exact:
+        Xi[:, exact] = np.asarray(Y)[:, exact]
+    return Xi
+
+
+def _check_feasible(W, phi):
+    try:
+        np.linalg.cholesky(((1.0 + 1e-12) / phi) * np.eye(W.shape[0]) - W)
+    except np.linalg.LinAlgError:
+        raise ValueError("feasibility violated: phi * ||W||_2 > 1") from None
 
 
 def theta_update(Xi, E, W, phi, out=None) -> np.ndarray:
@@ -165,10 +184,7 @@ def theta_update(Xi, E, W, phi, out=None) -> np.ndarray:
     """
     Xi = np.asarray(Xi, dtype=float)
     W = np.asarray(W, dtype=float)
-    try:
-        np.linalg.cholesky(((1.0 + 1e-12) / phi) * np.eye(W.shape[0]) - W)
-    except np.linalg.LinAlgError:
-        raise ValueError("feasibility violated: phi * ||W||_2 > 1") from None
+    _check_feasible(W, phi)
     P = np.matmul(np.asarray(E, dtype=float), W, out=out)
     return np.subtract(Xi, np.multiply(P, phi, out=P), out=P)
 
@@ -346,7 +362,10 @@ def _prepare(problem) -> PreparedProblem:
         M = np.broadcast_to(row, (n, m))  # a read-only (n, m) view of m floats
 
     losses = tuple(scale_to_unit_lipschitz(l) for l in losses)
-    return PreparedProblem(problem, Y, losses, M, alpha, W0, phi)
+    S = cross_product(Y, M) if len(_exact_columns(losses)) == m else None  # Xi = Y at every step
+    if S is not None:
+        S.setflags(write=False)
+    return PreparedProblem(problem, Y, losses, M, alpha, W0, phi, S)
 
 
 def cross_product(Xi, M, out=None) -> np.ndarray:
@@ -360,9 +379,12 @@ def first_iteration_s(problem) -> np.ndarray:
     """Cross-product matrix the first inner solve would see.
 
     Used to anchor the penalty grid before any fitting happens; it does not
-    depend on the penalty itself.  Takes a problem or a prepared problem.
+    depend on the penalty itself.  Takes a problem or a prepared problem, and
+    returns a fresh array (a copy of the prepared S, when there is one).
     """
     p = _prepare(problem)
+    if p.S is not None:
+        return p.S.copy()
     Theta0 = p.Y + p.phi * ((p.M - p.Y) @ p.W0)
     return cross_product(xi_update(Theta0, p.Y, p.losses), p.M)
 
@@ -388,9 +410,12 @@ def fit(problem, W_init=None) -> FitResult:
 
     est = prepared.W0 if W_init is None else W_init
     # this fit's n x m arrays, written in place by every step
-    Xi, A, B = Y.copy(), np.empty(Y.shape), np.empty(Y.shape)
-    Theta = theta_update(Y, np.subtract(Y, M, out=A), warm_start(est, Y.shape[1])[0], phi,
-                         out=np.empty(Y.shape))  # checks W_init
+    Xi, A, B, Theta = Y.copy(), np.empty(Y.shape), np.empty(Y.shape), np.empty(Y.shape)
+    W_start = warm_start(est, Y.shape[1])[0]  # checks W_init, and below its feasibility
+    if prepared.S is None:
+        theta_update(Y, np.subtract(Y, M, out=A), W_start, phi, out=Theta)
+    else:
+        _check_feasible(W_start, phi)
     state = IterState(Theta=Theta, Xi=Xi)
 
     def block_step(S, start, tol):
@@ -413,8 +438,12 @@ def fit(problem, W_init=None) -> FitResult:
     outer_converged = False
     rel = 0.0
     for k in range(1, problem.max_outer + 1):
-        xi_update(Theta, Y, losses, out=Xi)
-        S = cross_product(Xi, M, out=A)
+        if prepared.S is None:
+            xi_update(Theta, Y, losses, out=Xi)
+            S = cross_product(Xi, M, out=A)
+        else:  # Xi stays Y; only Xi - M, which the objective overwrote, is written again
+            np.subtract(Xi, M, out=A)
+            S = prepared.S
         # inexact block step: solve only as tightly as the objective still moves
         tol = max(problem.inner_tol, rel)
         est, F = block_step(S, est, tol)

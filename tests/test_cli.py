@@ -808,6 +808,28 @@ class TestRun:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(tmp_path / target) in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command, outputs, bad", [
+        ("path", {"--table": "t.csv", "--out": "nodir/s.json"}, "nodir/s.json"),
+        ("fit", {"--out": "r.json", "--dot": "nodir/g.dot"}, "nodir/g.dot"),
+        ("path", {"--table": "t.csv", "--out": "s.json", "--dot": "adir"}, "adir"),
+    ], ids=["path-out-in-missing-dir", "fit-dot-in-missing-dir", "path-dot-is-a-dir"])
+    @pytest.mark.parametrize("stale", [False, True], ids=["new-files", "overwritten-files"])
+    def test_unwritable_output_leaves_no_output_behind(self, tmp_path, capsys, command, outputs, bad, stale):
+        sim = simulate(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        write(cfg, json.dumps({"losses": "quadratic", "lambda": 0.15}))
+        run_dir = tmp_path / "run"
+        (run_dir / "adir").mkdir(parents=True)
+        if stale:  # a file this run overwrites is this run's output too
+            for name in outputs.values():
+                if name != bad:
+                    write(run_dir / name, "from an earlier run")
+        argv = [x for flag, name in outputs.items() for x in (flag, str(run_dir / name))]
+        assert main([command, "--data", str(sim / "Y.csv"), "--config", str(cfg), *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(run_dir / bad) in err
+        assert sorted(os.listdir(run_dir)) == ["adir"] and os.listdir(run_dir / "adir") == []
+
     def test_simulate_into_a_file_exits_1(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         write(blocker, "")

@@ -27,6 +27,7 @@ from iggl import (
     xi_update,
 )
 import iggl.core
+import iggl.select
 from iggl.core import _prepare, cross_product, spectral_norm
 from iggl.losses import check_domain, kernel_value
 
@@ -83,7 +84,37 @@ class TestXiUpdate:
         Y = rng.standard_normal((20, 4))
         Theta = Y + 1e-4 * rng.standard_normal((20, 4))
         Xi = xi_update(Theta, Y, quad_map(4))
-        assert np.max(np.abs(Xi - Y)) <= 1e-14
+        assert np.array_equal(Xi, Y)
+
+    def test_unit_quadratic_column_of_a_mixed_problem_is_its_data(self):
+        # far from Y, Theta - (Theta - Y) rounds away from Y; the step writes Y's column instead
+        rng = np.random.default_rng(2)
+        Yb = synth_data("bernoulli", 2, 60, seed=2)
+        Y = np.column_stack([5.0 * rng.standard_normal(60), Yb[:, 0], 5.0 * rng.standard_normal(60), Yb[:, 1]])
+        losses = tuple(make_loss(kind) for kind in ("quadratic", "bernoulli", "quadratic", "bernoulli"))
+        p = _prepare(FitProblem(Y=Y, losses=losses, lam=0.1))
+        assert p.S is None
+        Theta = Y + 1e3 * rng.standard_normal(Y.shape)
+        Xi = xi_update(Theta, p.Y, p.losses)
+        quad, bern = [0, 2], [1, 3]
+        assert not np.array_equal(Theta[:, quad] - (Theta[:, quad] - Y[:, quad]), Y[:, quad])
+        assert np.array_equal(Xi[:, quad], Y[:, quad])
+        G = batch_grad(p.losses[1::2], Theta[:, bern], Y[:, bern])
+        assert np.array_equal(Xi[:, bern], Theta[:, bern] - G)
+
+    def test_scaled_quadratic_column_still_moves_with_theta(self):
+        # scale 0.5 keeps its bound of 0.5, so its step is not exact; scale 2 is divided down to 1, so it is
+        rng = np.random.default_rng(3)
+        Y = rng.standard_normal((30, 3))
+        losses = tuple(make_loss("quadratic", scale_factor=c) for c in (0.5, 1.0, 2.0))
+        p = _prepare(FitProblem(Y=Y, losses=losses, lam=0.1))
+        assert [loss.scale_factor for loss in p.losses] == [0.5, 1.0, 1.0]
+        assert p.S is None
+        Theta = Y + 1e3 * rng.standard_normal(Y.shape)
+        Xi = xi_update(Theta, p.Y, p.losses)
+        assert np.array_equal(Xi[:, 0], Theta[:, 0] - 0.5 * (Theta[:, 0] - Y[:, 0]))
+        assert np.all(Xi[:, 0] != Y[:, 0])
+        assert np.array_equal(Xi[:, 1:], Y[:, 1:])
 
     def test_zero_gradient_fixed_point(self):
         rng = np.random.default_rng(1)
@@ -601,6 +632,15 @@ class TestFirstIterationS:
         S = Y.T @ Y / Y.shape[0]
         assert np.max(np.abs(S1 - S)) <= 1e-12
 
+    @pytest.mark.parametrize("given_M", [False, True], ids=["intercepts", "M-given"])
+    def test_all_quadratic_is_the_cross_product_of_the_data(self, given_M):
+        Y = synth_data("quadratic", 5, 60, seed=15)
+        M = 0.3 * np.random.default_rng(15).standard_normal(Y.shape) if given_M else None
+        prob = FitProblem(Y=Y, losses=quad_map(5), lam=0.2, M=M)
+        p = _prepare(prob)
+        assert np.array_equal(first_iteration_s(prob), cross_product(Y, p.M))
+        assert np.array_equal(first_iteration_s(p), cross_product(Y, p.M))
+
     def test_independent_of_lambda(self):
         Y = synth_data("bernoulli", 3, 40, seed=14)
         losses = loss_map_for("bernoulli", Y)
@@ -677,6 +717,24 @@ class TestAgainstReferenceLoop:
         prob = self._at_fraction_of_lambda_max(Y, losses, max_outer=40)
         assert_fit_equals_reference(fit(prob), reference_fit(prob))
 
+    @pytest.mark.parametrize("start", ["cold", "array", "estimate"])
+    @pytest.mark.parametrize("given_M", [False, True], ids=["intercepts", "M-given"])
+    def test_all_quadratic(self, start, given_M):
+        Y = synth_data("quadratic", 6, 100, seed=46)
+        M = 0.3 * np.random.default_rng(46).standard_normal(Y.shape) if given_M else None
+        prob = self._at_fraction_of_lambda_max(Y, quad_map(6), M=M)
+        est = None if start == "cold" else fit(replace(prob, lam=2.0 * prob.lam)).estimate
+        res = fit(prob, W_init=est.W if start == "array" else est)
+        assert res.state.k == 2
+        assert_fit_equals_reference(res, reference_fit(prob, W_init=None if est is None else est.W))
+
+    def test_all_quadratic_run_ending_in_a_polish(self):
+        Y = synth_data("quadratic", 12, 100, seed=5)
+        prob = FitProblem(Y=Y, losses=quad_map(12), lam=0.05, inner_max_iter=1)
+        ref = reference_fit(prob)
+        assert ref["polished"]
+        assert_fit_equals_reference(fit(prob), ref)
+
     def test_run_ending_in_a_polish(self):
         Y = synth_data("bernoulli", 8, 300, seed=21)
         prob = self._at_fraction_of_lambda_max(Y, loss_map_for("bernoulli", Y), max_outer=6)
@@ -711,6 +769,62 @@ class TestAgainstReferenceLoop:
         arrays = [a for res in path.fits for a in (res.state.Theta, res.state.Xi, res.estimate.W) if a is not None]
         assert len(arrays) == len(lambdas) + 2
         assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
+
+
+class TestSharedCrossProduct:
+    """An all-quadratic problem's S is computed once, by ``_prepare``, and every fit of a path reads it."""
+
+    @staticmethod
+    def _count(monkeypatch, *names):
+        """A Counter of the calls made to each named ``iggl.core`` function from now on."""
+        calls = Counter(dict.fromkeys(names, 0))
+        for name in names:
+            def counted(*args, _original=getattr(iggl.core, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(iggl.core, name, counted)
+        return calls
+
+    def test_a_path_makes_one_cross_product_and_no_gradient_step(self, monkeypatch):
+        calls = self._count(monkeypatch, "cross_product", "batch_grad", "xi_update", "theta_update")
+        per_fit, original = [], iggl.select.fit
+
+        def counted_fit(*args, **kwargs):
+            before = calls["theta_update"]
+            res = original(*args, **kwargs)
+            per_fit.append(calls["theta_update"] - before)
+            return res
+
+        monkeypatch.setattr(iggl.select, "fit", counted_fit)
+        Y = synth_data("quadratic", 6, 120, seed=51)
+        prepared = _prepare(FitProblem(Y=Y, losses=quad_map(6), lam=0.0))
+        path = iggl.fit_path(prepared, lambda_grid(first_iteration_s(prepared), n_points=5))
+        assert calls == {"cross_product": 1, "batch_grad": 0, "xi_update": 0, "theta_update": 10}
+        assert per_fit == [2] * 5
+        assert all(res.state.k == 2 and res.state.S is prepared.S for res in path.fits)
+        sel = path.fits[path.selected_index].state
+        assert np.array_equal(sel.Xi, Y) and not np.shares_memory(sel.Xi, prepared.Y)
+
+    def test_a_bernoulli_fit_steps_and_cross_multiplies_every_outer_iteration(self, monkeypatch):
+        Y = synth_data("bernoulli", 5, 200, seed=52)
+        prepared = _prepare(FitProblem(Y=Y, losses=loss_map_for("bernoulli", Y), lam=0.05, max_outer=20))
+        assert prepared.S is None
+        calls = self._count(monkeypatch, "cross_product", "xi_update")
+        res = fit(prepared)
+        assert res.state.k > 2
+        assert calls == {"cross_product": res.state.k, "xi_update": res.state.k}
+
+    def test_shared_s_is_read_only_and_the_anchor_a_copy(self):
+        prob = FitProblem(Y=synth_data("quadratic", 5, 80, seed=53), losses=quad_map(5), lam=0.1)
+        prepared = _prepare(prob)
+        with pytest.raises(ValueError, match="read-only"):
+            prepared.S[0, 1] = 1.0
+        S1 = first_iteration_s(prepared)
+        assert np.array_equal(S1, prepared.S) and not np.shares_memory(S1, prepared.S)
+        S1[:] = 0.0
+        W = fit(prepared).estimate.W
+        assert np.array_equal(W, fit(_prepare(prob)).estimate.W)
+        assert np.array_equal(first_iteration_s(prepared), cross_product(prob.Y, prepared.M))
 
 
 class TestWarmStartHandOff:
