@@ -418,10 +418,11 @@ def cmd_run(args) -> int:
         outputs.insert(0, (cfg.get("table", "path.csv"), lambda out: write_table(out, path, eps)))
     if cfg.get("dot"):
         outputs.append((cfg["dot"], lambda out: write_dot(out, names, doc["edges"], cfg.get("drop_isolated", False))))
-    mine = []  # the files this run wrote, and one it created before its write failed
+    mine = []  # the files this run wrote
     try:
         for out, write in outputs:
-            mine += [] if os.path.exists(out) else [out]
+            if not os.path.exists(out):  # created by this run, so removed even if its own write fails
+                mine.append(out)
             write(out)
             mine.append(out)
     except OSError:  # an output that cannot be written leaves none of this run's outputs behind
@@ -576,9 +577,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, RuntimeError) as exc:  # an OSError here is an output that cannot be written
+    except (ValueError, OSError) as exc:  # an OSError here is an output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL if isinstance(exc, RuntimeError) else EXIT_INPUT
+        return EXIT_INPUT
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

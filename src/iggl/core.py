@@ -102,7 +102,7 @@ class PreparedProblem:
     intercepts: np.ndarray | None
     W0: np.ndarray
     phi: float
-    S: np.ndarray | None = None  # read-only cross-product of Y when every column steps exactly onto Y
+    S: np.ndarray | None  # read-only cross-product of Y when every column steps exactly onto Y
 
 
 @dataclass

@@ -47,14 +47,14 @@ def rand_spd(m, rng, rows=None):
     return 0.5 * (S + S.T)
 
 
-def count_linalg(monkeypatch, *names):
-    """A Counter of the calls made to each named ``np.linalg`` function from now on (0 for each at first)."""
+def count_calls(monkeypatch, module, *names):
+    """A Counter of the calls made to each named function of ``module`` from now on (0 for each at first)."""
     counts = Counter(dict.fromkeys(names, 0))
     for name in names:
-        def counted(*args, _original=getattr(np.linalg, name), _name=name, **kwargs):
+        def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
             counts[_name] += 1
             return _original(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return counts
 
 

@@ -31,7 +31,7 @@ import iggl.select
 from iggl.core import _prepare, cross_product, spectral_norm
 from iggl.losses import check_domain, kernel_value
 
-from helpers import ALL_KINDS, assert_fit_equals_reference, count_linalg, loss_map_for, reference_fit, synth_data
+from helpers import ALL_KINDS, assert_fit_equals_reference, count_calls, loss_map_for, reference_fit, synth_data
 
 
 def quad_map(m):
@@ -774,19 +774,8 @@ class TestAgainstReferenceLoop:
 class TestSharedCrossProduct:
     """An all-quadratic problem's S is computed once, by ``_prepare``, and every fit of a path reads it."""
 
-    @staticmethod
-    def _count(monkeypatch, *names):
-        """A Counter of the calls made to each named ``iggl.core`` function from now on."""
-        calls = Counter(dict.fromkeys(names, 0))
-        for name in names:
-            def counted(*args, _original=getattr(iggl.core, name), _name=name, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
-            monkeypatch.setattr(iggl.core, name, counted)
-        return calls
-
     def test_a_path_makes_one_cross_product_and_no_gradient_step(self, monkeypatch):
-        calls = self._count(monkeypatch, "cross_product", "batch_grad", "xi_update", "theta_update")
+        calls = count_calls(monkeypatch, iggl.core, "cross_product", "batch_grad", "xi_update", "theta_update")
         per_fit, original = [], iggl.select.fit
 
         def counted_fit(*args, **kwargs):
@@ -809,7 +798,7 @@ class TestSharedCrossProduct:
         Y = synth_data("bernoulli", 5, 200, seed=52)
         prepared = _prepare(FitProblem(Y=Y, losses=loss_map_for("bernoulli", Y), lam=0.05, max_outer=20))
         assert prepared.S is None
-        calls = self._count(monkeypatch, "cross_product", "xi_update")
+        calls = count_calls(monkeypatch, iggl.core, "cross_product", "xi_update")
         res = fit(prepared)
         assert res.state.k > 2
         assert calls == {"cross_product": res.state.k, "xi_update": res.state.k}
@@ -852,7 +841,7 @@ class TestWarmStartHandOff:
         # the first solve of every fit but the first starts from the previous
         # estimate's inverse and log det instead of inverting and factoring it
         prob, lambdas = self._problem()
-        counts, solve = count_linalg(monkeypatch, "inv", "cholesky"), iggl.core.solve_ggl
+        counts, solve = count_calls(monkeypatch, np.linalg, "inv", "cholesky"), iggl.core.solve_ggl
         inside = Counter()
 
         def counted_solve(*args, **kwargs):

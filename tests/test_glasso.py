@@ -23,7 +23,7 @@ from iggl import (
     solve_ggl,
 )
 
-from helpers import count_linalg, kkt_three_case, oracle_ggl_2x2, oracle_ggl_dense, rand_spd, spd_with_zeros
+from helpers import count_calls, kkt_three_case, oracle_ggl_2x2, oracle_ggl_dense, rand_spd, spd_with_zeros
 
 
 class TestLogDet:
@@ -208,7 +208,7 @@ class TestSolve:
         Y = sample_gaussian(n, make_precision(GraphPattern("chain", m)), seed=5)
         prob = FitProblem(Y=Y, losses=tuple(make_loss("quadratic") for _ in range(m)), lam=0.0)
         grid = lambda_grid(first_iteration_s(prob), n_points=10)
-        counts, solve = count_linalg(monkeypatch, "cholesky"), iggl.core.solve_ggl
+        counts, solve = count_calls(monkeypatch, np.linalg, "cholesky"), iggl.core.solve_ggl
         inside = Counter()
 
         def counted_solve(*args, **kwargs):
@@ -233,7 +233,7 @@ class TestSolve:
         rng = np.random.default_rng(8)
         S1 = rand_spd(6, rng)
         S2 = S1 + 0.05 * rand_spd(6, rng)
-        counts = count_linalg(monkeypatch, "inv", "cholesky")
+        counts = count_calls(monkeypatch, np.linalg, "inv", "cholesky")
         for lam in (0.1, 0.0):  # an unpenalized estimate carries its factors too
             first = solve_ggl(GGLInstance(S1, lam))
             assert np.array_equal(first.W, first.W.T)
