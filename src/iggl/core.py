@@ -42,8 +42,9 @@ det; the first starts from ``W_init`` or W0.
 
 phi is fixed for the whole run at ``phi_c / ||W0||_2``, the largest entry
 of the diagonal W0.  A warm start and every iterate must keep ``I - phi*W``
-positive semi-definite; :func:`theta_update` (and ``fit``, for a warm start it does
-not blend) checks this exactly, by a Cholesky factorization of ``(1 + 1e-12)/phi * I - W``.
+positive semi-definite; :func:`theta_update`, and ``fit`` for a warm start it
+does not blend, check this exactly by a Cholesky factorization of
+``(1 + 1e-12)/phi * I - W``.
 """
 
 from __future__ import annotations
@@ -93,7 +94,10 @@ class FitProblem:
 
 @dataclass(frozen=True, eq=False)
 class PreparedProblem:
-    """A :class:`FitProblem` (which still gives the options and penalty) resolved by ``_prepare``."""
+    """A :class:`FitProblem` (which still gives the options and penalty) resolved by ``_prepare``.
+
+    ``S`` is the read-only cross-product of Y when every column steps exactly onto Y, else ``None``.
+    """
 
     problem: FitProblem
     Y: np.ndarray
@@ -102,7 +106,7 @@ class PreparedProblem:
     intercepts: np.ndarray | None
     W0: np.ndarray
     phi: float
-    S: np.ndarray | None  # read-only cross-product of Y when every column steps exactly onto Y
+    S: np.ndarray | None
 
 
 @dataclass
@@ -411,7 +415,7 @@ def fit(problem, W_init=None) -> FitResult:
     est = prepared.W0 if W_init is None else W_init
     # this fit's n x m arrays, written in place by every step
     Xi, A, B, Theta = Y.copy(), np.empty(Y.shape), np.empty(Y.shape), np.empty(Y.shape)
-    W_start = warm_start(est, Y.shape[1])[0]  # checks W_init, and below its feasibility
+    W_start = warm_start(est, Y.shape[1])[0]  # checks W_init; the blend or _check_feasible checks its feasibility
     if prepared.S is None:
         theta_update(Y, np.subtract(Y, M, out=A), W_start, phi, out=Theta)
     else:
