@@ -30,7 +30,7 @@ from .core import FitProblem, _prepare, fit, first_iteration_s
 from .datagen import GENERATOR_ID, GraphPattern, make_precision, sample_gaussian, sample_glm
 from .glasso import check_symmetric, log_det_pd
 from .losses import LOSS_KINDS, loss_from_config
-from .select import EDGE_EPS, bregman_sym, degrees_of_freedom, edge_metrics, fit_path, lambda_grid
+from .select import EDGE_EPS, bregman_sym, degrees_of_freedom, edge_mask, edge_metrics, fit_path, lambda_grid
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -65,7 +65,7 @@ def read_csv_matrix(path):
     digits) and otherwise names the first bad row or cell.
     """
     try:
-        fh = open(path, "r", newline="", encoding="utf-8")
+        fh = open(path, "r", newline="", encoding="utf-8-sig")  # a byte-order mark is not part of the header
     except OSError as exc:
         raise InputError(f"cannot open {path}: {exc}") from None
     with fh:
@@ -132,7 +132,7 @@ def _bad_cell(path, lineno, row, names):
 
 def _read_json(path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot open {path}: {exc}") from None
@@ -280,10 +280,9 @@ def _dump_json(obj, path):
 
 
 def edge_list(W, names, eps):
-    """The strictly-upper-triangular entries above ``eps`` in magnitude (``degrees_of_freedom``'s rule), by row."""
-    rows, cols = np.nonzero(np.abs(np.triu(W, 1)) > eps)
+    """The edges of W (:func:`iggl.select.edge_mask`), row by row."""
     return [{"i": i, "j": j, "source": names[i], "target": names[j], "weight": float(W[i, j])}
-            for i, j in zip(rows.tolist(), cols.tolist())]
+            for i, j in np.argwhere(edge_mask(W, eps)).tolist()]
 
 
 def write_dot(path, names, edges, drop_isolated=False):

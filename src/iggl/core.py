@@ -34,11 +34,12 @@ state).  Everything but the penalty (domain checks, count reparameterization,
 intercepts and M, loss scaling, W0, phi) is resolved once, by ``_prepare``,
 into a :class:`PreparedProblem` that a whole penalty path shares.
 
-``fit`` allocates its n x m arrays once (Theta, Xi, a copy of Y that only a
-gradient step changes, and two scratch arrays) and passes them to every step
-as ``out=``/``work=``; without them each step returns a fresh array.  Every
-inner solve starts from the previous estimate, reusing its inverse and log
-det; the first starts from ``W_init`` or W0.
+``fit`` is a loop around :func:`outer_step`, one pass of the four lines
+above, plus the stopping test and the polish.  It allocates four n x m arrays
+once, Theta, Xi (a copy of Y that only a gradient step changes) and two
+scratch arrays, which every step writes in place.  Every inner solve starts
+from the previous estimate, reusing its inverse and log det; the first
+starts from ``W_init`` or W0.
 
 phi is fixed for the whole run at ``phi_c / ||W0||_2``, the largest entry
 of the diagonal W0.  A warm start and every iterate must keep ``I - phi*W``
@@ -243,7 +244,7 @@ def estimate_intercepts(Y, losses) -> np.ndarray:
     a Bernoulli column of one label) are clipped to +/- 20 * max(scale, 1)
     with a warning.  Like :func:`batch_value`, it assumes every column lies
     in its kind's domain (count columns: nonnegative integers with a positive
-    total); ``fit`` checks each column once before calling it.
+    total); ``_prepare`` checks each column once before calling it.
     """
     Y = np.asarray(Y, dtype=float)
     m = Y.shape[1]
@@ -298,7 +299,7 @@ def poisson_preprocess(Y, columns):
     by ``2 / c_k`` so that its curvature bound c_k / 2 becomes exactly one;
     its eliminated intercept ``log(c_k)`` is reported by
     :func:`estimate_intercepts`.  Assumes checked columns (nonnegative
-    integers with a positive total), as ``fit`` ensures.
+    integers with a positive total), as ``_prepare`` ensures.
     """
     Y = np.asarray(Y, dtype=float)
     return {k: _divide_by_bound(make_loss("poisson_reparam", count_total=float(np.sum(Y[:, k]))))
@@ -393,6 +394,34 @@ def first_iteration_s(problem) -> np.ndarray:
     return cross_product(xi_update(Theta0, p.Y, p.losses), p.M)
 
 
+def outer_step(prepared, state, est, tol, work, S=None):
+    """One outer step from ``state.Theta`` and the estimate ``est``; returns the new estimate, S and F.
+
+    Writes Xi (Y stays on an all-quadratic problem, whose S is prepared), then
+    E = Xi - M into ``work``, two n x m scratch arrays it never reads first;
+    solves on S from ``est`` to KKT residual ``tol`` and writes Theta'.
+    Given ``S``, the polish, it solves again from the Xi that made S.
+    """
+    problem, Y, M, phi = prepared.problem, prepared.Y, prepared.M, prepared.phi
+    lam = float(problem.lam)  # checked by solve_ggl
+    E, B = work
+    if S is None and prepared.S is None:
+        xi_update(state.Theta, Y, prepared.losses, out=state.Xi)
+        S = cross_product(state.Xi, M, out=E)
+    else:  # Xi is unchanged: Y on an all-quadratic problem, or the polished step's image
+        np.subtract(state.Xi, M, out=E)
+        S = prepared.S if S is None else S
+    est = solve_ggl(GGLInstance(S, lam, problem.penalize_diagonal, tol, problem.inner_max_iter), W_init=est)
+    try:
+        theta_update(state.Xi, E, est.W, phi, out=state.Theta)
+    except ValueError:
+        raise RuntimeError("inner solver returned W with phi * ||W||_2 > 1; feasibility of the shift "
+                           "decomposition is violated (phi stays at its initial value)") from None
+    F = outer_objective(S, state.Theta, est.W, phi, lam, Y, prepared.losses, problem.penalize_diagonal, out=E,
+                        work=B, log_det=est.log_det)
+    return est, S, F
+
+
 def fit(problem, W_init=None) -> FitResult:
     """Run the outer loop and return the fitted precision matrix.
 
@@ -402,76 +431,47 @@ def fit(problem, W_init=None) -> FitResult:
     array (:func:`iggl.glasso.warm_start` reads both); it must keep
     ``I - phi W`` positive semi-definite (phi is always taken from the
     variance-diagonal initializer so warm and cold runs optimize the same
-    criterion).  Stops when the relative change of the objective trace drops
-    below ``outer_tol`` or after ``max_outer`` iterations, whichever comes
-    first, then polishes the last inner solve to ``inner_tol`` if it was
-    solved more loosely (see the module docstring).
+    criterion).  Runs one :func:`outer_step` per iteration until the relative
+    change of the objective trace drops below ``outer_tol`` or ``max_outer``
+    is reached, then polishes a last inner solve looser than ``inner_tol``.
     """
     prepared = _prepare(problem)
-    problem = prepared.problem
-    Y, losses, M, phi = prepared.Y, prepared.losses, prepared.M, prepared.phi
-    lam = float(problem.lam)  # checked by solve_ggl
+    problem, Y, M, phi = prepared.problem, prepared.Y, prepared.M, prepared.phi
 
     est = prepared.W0 if W_init is None else W_init
-    # this fit's n x m arrays, written in place by every step
-    Xi, A, B, Theta = Y.copy(), np.empty(Y.shape), np.empty(Y.shape), np.empty(Y.shape)
+    Theta, work = np.empty(Y.shape), (np.empty(Y.shape), np.empty(Y.shape))
     W_start = warm_start(est, Y.shape[1])[0]  # checks W_init; the blend or _check_feasible checks its feasibility
     if prepared.S is None:
-        theta_update(Y, np.subtract(Y, M, out=A), W_start, phi, out=Theta)
+        theta_update(Y, np.subtract(Y, M, out=work[0]), W_start, phi, out=Theta)
     else:
         _check_feasible(W_start, phi)
-    state = IterState(Theta=Theta, Xi=Xi)
+    state = IterState(Theta=Theta, Xi=Y.copy())
 
-    def block_step(S, start, tol):
-        """Inner solve on S from ``start`` (W0, ``W_init`` or an estimate) to KKT residual ``tol``, then Theta and F.
-
-        A must hold Xi - M on entry; the objective overwrites it.
-        """
-        inst = GGLInstance(S, lam, problem.penalize_diagonal, tol, problem.inner_max_iter)
-        est = solve_ggl(inst, W_init=start)
-        try:
-            theta_update(Xi, A, est.W, phi, out=Theta)
-        except ValueError:
-            raise RuntimeError(
-                "inner solver returned W with phi * ||W||_2 > 1; feasibility of "
-                "the shift decomposition is violated (phi stays at its initial value)"
-            ) from None
-        return est, outer_objective(S, Theta, est.W, phi, lam, Y, losses, problem.penalize_diagonal, out=A, work=B,
-                                    log_det=est.log_det)
-
-    outer_converged = False
     rel = 0.0
     for k in range(1, problem.max_outer + 1):
-        if prepared.S is None:
-            xi_update(Theta, Y, losses, out=Xi)
-            S = cross_product(Xi, M, out=A)
-        else:  # Xi stays Y; only Xi - M, which the objective overwrote, is written again
-            np.subtract(Xi, M, out=A)
-            S = prepared.S
         # inexact block step: solve only as tightly as the objective still moves
         tol = max(problem.inner_tol, rel)
-        est, F = block_step(S, est, tol)
+        est, state.S, F = outer_step(prepared, state, est, tol, work)
         state.F_trace.append(F)
         state.inner_iterations.append(est.iterations)
         state.inner_tols.append(tol)
         state.inner_kkt.append(est.kkt_residual)
-        state.S, state.k = S, k
+        state.k = k
         if k >= 2:
             rel = abs(F - F_prev) / (1.0 + abs(F_prev))
             if rel < problem.outer_tol:
-                outer_converged = True
                 break
         F_prev = F
+    outer_converged = state.k >= 2 and rel < problem.outer_tol
 
     if est.kkt_residual > problem.inner_tol:
-        # polish: one full-tolerance solve of the last block, a further
-        # descent that replaces the last trace entry rather than adding one
-        np.subtract(Xi, M, out=A)
-        est, F = block_step(S, est, problem.inner_tol)
+        # polish: a full-tolerance re-solve of the last block, a further descent that replaces its trace entry
+        est, _, F = outer_step(prepared, state, est, problem.inner_tol, work, S=state.S)
         state.F_trace[-1] = F
         state.inner_iterations[-1] += est.iterations
         state.inner_tols[-1] = problem.inner_tol
         state.inner_kkt[-1] = est.kkt_residual
 
-    return FitResult(estimate=est, state=state, phi=phi, lam=lam, converged=outer_converged and est.converged,
-                     intercepts=prepared.intercepts, M=M, losses=losses)
+    return FitResult(estimate=est, state=state, phi=phi, lam=float(problem.lam),
+                     converged=outer_converged and est.converged, intercepts=prepared.intercepts, M=M,
+                     losses=prepared.losses)

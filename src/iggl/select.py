@@ -59,10 +59,14 @@ def lambda_grid(S1, n_points=30, ratio=0.01) -> np.ndarray:
         raise ValueError(f"penalty grid {lam_max:g} to {lam_max * ratio:g} is outside the float range") from None
 
 
+def edge_mask(W, eps=EDGE_EPS) -> np.ndarray:
+    """The edges of W: its strictly-upper-triangular entries above ``eps`` (>= 0) in magnitude, as a bool mask."""
+    return np.abs(np.triu(W, 1)) > eps
+
+
 def degrees_of_freedom(W, eps=EDGE_EPS) -> int:
-    """m diagonal parameters plus the strictly-upper-triangular entries above ``eps`` (>= 0) in magnitude."""
-    W = np.asarray(W)
-    return int(W.shape[0] + np.count_nonzero(np.abs(np.triu(W, 1)) > eps))
+    """m diagonal parameters plus the edges (:func:`edge_mask`)."""
+    return int(np.shape(W)[0] + np.count_nonzero(edge_mask(W, eps)))
 
 
 def bic(result: FitResult) -> float:
@@ -150,11 +154,10 @@ def bregman_sym(W1, W2) -> float:
 
 
 def edge_metrics(W_hat, W_true, eps=EDGE_EPS) -> EdgeMetrics:
-    """Support recovery scores over strictly-upper-triangular entries.
+    """Support recovery scores over the edges of :func:`edge_mask`.
 
-    An edge is an entry with magnitude above ``eps``.  With no predicted and
-    no true edges the scores are vacuously one; f1 is zero whenever both
-    precision and recall are zero.
+    With no predicted and no true edges the scores are vacuously one; f1 is
+    zero whenever both precision and recall are zero.
     """
     W_hat = np.asarray(W_hat)
     W_true = np.asarray(W_true)
@@ -162,9 +165,7 @@ def edge_metrics(W_hat, W_true, eps=EDGE_EPS) -> EdgeMetrics:
         raise ValueError("shape mismatch")
     if not 0.0 < eps < np.inf:
         raise ValueError("eps must be positive and finite")
-    iu = np.triu_indices(W_hat.shape[0], k=1)
-    pred = np.abs(W_hat[iu]) > eps
-    true = np.abs(W_true[iu]) > eps
+    pred, true = edge_mask(W_hat, eps), edge_mask(W_true, eps)
     tp = int(np.count_nonzero(pred & true))
     n_pred = int(np.count_nonzero(pred))
     n_true = int(np.count_nonzero(true))

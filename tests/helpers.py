@@ -358,7 +358,7 @@ def reference_read_csv_matrix(path):
     or raise the same error, on every file.
     """
     try:
-        fh = open(path, "r", newline="", encoding="utf-8")
+        fh = open(path, "r", newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise InputError(f"cannot open {path}: {exc}") from None
     with fh:

@@ -235,6 +235,7 @@ class TestCsvReaderMatchesRowWalk:
         ("a,b\n1,#2\n", "line 2, column b: not numeric: '#2'"),
         ("#a,b\n1,2\n", [[1, 2]]),
         ("\ufeffa,b\n1,2\n", [[1, 2]]),
+        ("\ufeffprice,b\n1,2\nx,3\n", "line 3, column price: not numeric: 'x'"),
         ("a,b\n\ufeff1,2\n", "line 2, column a: not numeric: '\\ufeff1'"),
         ("a,b\n1,2\n3,4", [[1, 2], [3, 4]]),
         ('a,b\n"1", 2 \n\xa03,"4"""\n', "line 3, column b: not numeric: '4\"'"),
@@ -246,7 +247,7 @@ class TestCsvReaderMatchesRowWalk:
     ], ids=["crlf", "lone-cr", "quoted-header-newline", "quoted-header-newline-bad", "quoted-cell-newline-then-bad",
             "quoted-cell-newline-bad", "blank-lines",
             "whitespace-line", "whitespace-line-one-column", "trailing-delimiter", "short-row", "hash-cell",
-            "hash-header", "bom", "bom-in-body", "no-final-newline", "quotes-and-spaces", "float-only-digits",
+            "hash-header", "bom", "bom-then-bad-cell", "bom-in-body", "no-final-newline", "quotes-and-spaces", "float-only-digits",
             "infinite", "overflow", "header-only", "empty"])
     def test_named_cases(self, tmp_path, text, expect):
         p = str(tmp_path / "case.csv")
@@ -669,6 +670,35 @@ class TestFit:
         rc = main(["fit", "--data", str(sim / "Y.csv"), "--config", str(cfg), "--out", str(tmp_path / "r.json")])
         assert rc == 1
         assert "shape" in capsys.readouterr().err
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark, which Excel's "CSV UTF-8" writes, is not part of the first name or the config."""
+
+    def bom_data(self, tmp_path):
+        text = (simulate(tmp_path) / "Y.csv").read_text(encoding="utf-8")
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbf" + text.replace("x1", "price", 1).encode("utf-8"))
+        return p
+
+    def test_named_column_fit(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        write(cfg, json.dumps({"losses": {"default": "quadratic", "columns": {"price": "huber"}}, "lambda": 0.15}))
+        out, dot = tmp_path / "r.json", tmp_path / "g.dot"
+        rc = main(["fit", "--data", str(self.bom_data(tmp_path)), "--config", str(cfg),
+                   "--out", str(out), "--dot", str(dot)])
+        assert rc == 0
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        assert doc["nodes"] == ["price", "x2", "x3", "x4", "x5"]
+        assert [l["kind"] for l in doc["losses"]] == ["huber"] + ["quadratic"] * 4
+        assert check_dot_grammar(dot.read_text(encoding="utf-8"))[0] == doc["nodes"]
+
+    def test_config_file(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b"\xef\xbb\xbf" + json.dumps({"losses": "quadratic", "lambda": 0.15}).encode("utf-8"))
+        assert iggl.cli.load_config(str(cfg)) == {"losses": "quadratic", "lambda": 0.15}
+        out = tmp_path / "r.json"
+        assert main(["fit", "--data", str(self.bom_data(tmp_path)), "--config", str(cfg), "--out", str(out)]) == 0
 
 
 class TestPath:

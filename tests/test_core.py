@@ -1,3 +1,6 @@
+import copy
+import importlib.util
+import os
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -28,7 +31,7 @@ from iggl import (
 )
 import iggl.core
 import iggl.select
-from iggl.core import _prepare, cross_product, spectral_norm
+from iggl.core import IterState, _prepare, cross_product, outer_step, spectral_norm
 from iggl.losses import check_domain, kernel_value
 
 from helpers import ALL_KINDS, assert_fit_equals_reference, count_calls, loss_map_for, reference_fit, synth_data
@@ -816,6 +819,47 @@ class TestSharedCrossProduct:
         assert np.array_equal(first_iteration_s(prepared), cross_product(prob.Y, prepared.M))
 
 
+def step_problem(name):
+    """The prepared problem of a contract test of :func:`outer_step`: Bernoulli, mixed, or all quadratic."""
+    if name == "bernoulli":
+        Y = synth_data("bernoulli", 5, 200, seed=61)
+        losses = loss_map_for("bernoulli", Y)
+    elif name == "mixed":
+        kinds = ("tukey", "tukey", "poisson_reparam", "poisson_reparam", "lorenz", "lorenz")
+        Y = np.column_stack([synth_data(kind, 6, 150, seed=62)[:, k] for k, kind in enumerate(kinds)])
+        losses = tuple(loss_map_for(kind, Y[:, [k]])[0] for k, kind in enumerate(kinds))
+    else:
+        Y = synth_data("quadratic", 5, 100, seed=63)
+        losses = quad_map(5)
+    return _prepare(FitProblem(Y=Y, losses=losses, lam=0.05, max_outer=3))
+
+
+class TestOuterStep:
+    """One outer step is a function of Theta and the estimate alone: scratch contents and earlier calls do not matter."""
+
+    @pytest.mark.parametrize("name", ["bernoulli", "mixed", "all-quadratic"])
+    @pytest.mark.parametrize("polish", [False, True], ids=["step", "polish"])
+    def test_outputs_depend_only_on_theta_and_the_estimate(self, name, polish):
+        prepared = step_problem(name)
+        res = fit(prepared)  # a Theta, Xi, S and estimate from the middle of a run
+        gradient_step = prepared.S is None and not polish
+        outputs = []
+        for fill in (0.0, np.nan, np.nan):
+            state = IterState(Theta=res.state.Theta.copy(), Xi=res.state.Xi.copy())
+            if gradient_step:  # Xi is an output; otherwise it is read
+                state.Xi.fill(fill)
+            work = (np.full(prepared.Y.shape, fill), np.full(prepared.Y.shape, fill))
+            est, S, F = outer_step(prepared, state, copy.deepcopy(res.estimate), 1e-7, work,
+                                   S=res.state.S.copy() if polish else None)
+            assert np.all(np.isfinite(state.Theta)) and np.isfinite(F)
+            outputs.append((state.Theta, state.Xi, S, est.W, F))
+        for got in outputs[1:]:
+            for a, b in zip(got, outputs[0]):
+                assert np.array_equal(a, b)
+        assert (outputs[0][2] is prepared.S) == (prepared.S is not None and not polish)
+        assert np.array_equal(outputs[0][1], prepared.Y) == (prepared.S is not None)
+
+
 class TestWarmStartHandOff:
     """``fit`` takes an earlier estimate or an array; ``fit_path`` hands over each fit's estimate."""
 
@@ -885,3 +929,48 @@ class TestWarmStartHandOff:
         Y = synth_data("quadratic", 3, 50, seed=12)
         with pytest.raises(ValueError, match="lambda must be finite and nonnegative"):
             fit(FitProblem(Y=Y, losses=quad_map(3), lam=lam))
+
+
+
+SPANS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "spans.py")
+
+
+class TestTracedLayers:
+    """The benchmark's tracer (perfbench/spans.py) sees every layer of every outer step.
+
+    It rebinds ``iggl.core``'s module globals, so a step that bound them
+    locally would read zero in each per-layer metric.
+    """
+
+    def test_span_counts_follow_the_outer_iterations(self):
+        spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        Y = synth_data("bernoulli", 6, 300, seed=71)
+        binary = FitProblem(Y=Y, losses=loss_map_for("bernoulli", Y), lam=0.02, max_outer=12)
+        gauss = FitProblem(Y=synth_data("quadratic", 6, 200, seed=72), losses=quad_map(6), lam=0.0)
+        lambdas = lambda_grid(first_iteration_s(gauss), n_points=3, ratio=0.1)
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            res = iggl.core.fit(binary)
+            path = iggl.select.fit_path(gauss, lambdas)
+        finally:
+            tracer.restore()
+        count = tracer.summary()[2]
+
+        # each fit's reference loop says whether its last block was polished
+        refs, W_prev = [reference_fit(binary)], None
+        for lam, res_i in zip(lambdas, path.fits):
+            refs.append(reference_fit(replace(gauss, lam=float(lam)), W_init=W_prev))
+            W_prev = res_i.estimate.W
+        fits = [res] + path.fits
+        assert_fit_equals_reference(res, refs[0])
+        solves = sum(f.state.k + r["polished"] for f, r in zip(fits, refs))
+        assert res.state.k == 12 and all(f.state.k == 2 for f in path.fits)
+        assert count["core.fit"] == 1 and count["select.fit"] == 3
+        assert count["glasso.solve"] == solves
+        assert count["core.objective"] == solves
+        assert count["losses.value"] == solves
+        assert count["core.theta_update"] == solves + 1  # the Bernoulli fit's Theta_0; the Gaussian fits have none
+        assert count["losses.grad"] == res.state.k  # the polish and the Gaussian fits take no gradient step
