@@ -931,7 +931,6 @@ class TestWarmStartHandOff:
             fit(FitProblem(Y=Y, losses=quad_map(3), lam=lam))
 
 
-
 SPANS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "spans.py")
 
 
