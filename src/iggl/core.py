@@ -397,9 +397,9 @@ def outer_step(prepared, state, est, tol, work, S=None):
     """One outer step from ``state.Theta`` and the estimate ``est``; returns the new estimate, S and F.
 
     Writes Xi (Y stays on an all-quadratic problem, whose S is prepared), then
-    E = Xi - M into ``work``, two n x m scratch arrays it never reads first;
-    solves on S from ``est`` to KKT residual ``tol`` and writes Theta'.
-    Given ``S``, the polish, it solves again from the Xi that made S.
+    E = Xi - M and S = E^T E / n, using ``work``, two n x m scratch arrays it
+    never reads first; solves on S from ``est`` to KKT residual ``tol`` and
+    writes Theta'.  Given ``S``, the polish, it re-solves from the Xi that made S.
     """
     problem, Y, M, phi = prepared.problem, prepared.Y, prepared.M, prepared.phi
     lam = float(problem.lam)  # checked by solve_ggl
