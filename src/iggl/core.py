@@ -438,7 +438,7 @@ def fit(problem, W_init=None) -> FitResult:
     problem, Y, M, phi = prepared.problem, prepared.Y, prepared.M, prepared.phi
 
     est = prepared.W0 if W_init is None else W_init
-    # Xi first: allocated last, it made the next first_iteration_s call 10% slower (perfbench binary_chain)
+    # Xi first: allocating it last made the next first_iteration_s call 10% slower (perfbench binary_chain)
     Xi, work, Theta = Y.copy(), (np.empty(Y.shape), np.empty(Y.shape)), np.empty(Y.shape)
     W_start = warm_start(est, Y.shape[1])[0]  # checks W_init; the blend or _check_feasible checks its feasibility
     if prepared.S is None:
