@@ -403,20 +403,26 @@ def cmd_run(args) -> int:
     """``fit`` and ``path``: one penalty (a one-point path under ``path``) or a BIC path, then their outputs."""
     cfg, names, prepared = _load_run(args)
     mode, lam_spec = _lambda_plan(cfg)
-    path = None
+    path = None  # the writers below read path and doc when they are called, after the fit
+    eps = cfg["edge_threshold"]
+    outputs = [(cfg.get("out", args.default_out), lambda out: _dump_json(doc, out))]
+    if args.command == "path":
+        outputs.insert(0, (cfg.get("table", "path.csv"), lambda out: write_table(out, path, eps)))
+    if cfg.get("dot"):
+        outputs.append((cfg["dot"], lambda out: write_dot(out, names, doc["edges"], cfg.get("drop_isolated", False))))
+    mean = cfg.get("mean")
+    taken = [os.path.realpath(f) for f in (cfg["data"], args.config, isinstance(mean, dict) and mean["given"]) if f]
+    for out, _ in outputs:
+        if os.path.realpath(out) in taken:
+            raise InputError(f"output {out} is an input or another output of this run")
+        taken.append(os.path.realpath(out))
     if mode == "fixed" and args.command == "fit":
         result = fit(replace(prepared, problem=replace(prepared.problem, lam=lam_spec)))
     else:
         lambdas = [lam_spec] if mode == "fixed" else lambda_grid(first_iteration_s(prepared), **lam_spec)
         path = fit_path(prepared, lambdas)
         result = path.fits[path.selected_index]
-    eps = cfg["edge_threshold"]
     doc = fit_result_document(result, names, eps, path)
-    outputs = [(cfg.get("out", args.default_out), lambda out: _dump_json(doc, out))]
-    if args.command == "path":
-        outputs.insert(0, (cfg.get("table", "path.csv"), lambda out: write_table(out, path, eps)))
-    if cfg.get("dot"):
-        outputs.append((cfg["dot"], lambda out: write_dot(out, names, doc["edges"], cfg.get("drop_isolated", False))))
     mine = []  # the files this run wrote
     try:
         for out, write in outputs:

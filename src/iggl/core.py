@@ -12,13 +12,15 @@ learning problem:
     W     <- argmin  Tr(S W) - log det W + lam*l1(W)
     Theta <- Xi - phi * (Xi - M) W                blend back through W
 
-The unit step is valid because ``_prepare`` divides every gradient-Lipschitz
-bound above one down to one (a bound below one is kept), and with the inner
+so the criterion is loss/phi + n/2 (inner objective - phi tr(SW^2)), and
+:func:`outer_objective` takes the inner objective from the solve.  The unit
+step is valid because ``_prepare`` divides every gradient-Lipschitz bound
+above one down to one (a bound below one is kept), and with the inner
 solver warm started from the previous W the objective trace is
 non-increasing.  A quadratic column of unit scale steps exactly onto its data,
-so when every column is one, Xi stays equal to Y and S is its cross-product,
-which ``_prepare`` computes once for all the fits of a path; each fit is a
-single inner solve plus one confirming pass.
+so when every column is one, Xi stays Y and S is its cross-product, which
+``_prepare`` computes once for a whole path; given that S, a step takes no
+gradient step, and each fit is one inner solve plus a confirming pass.
 
 The inner solves are inexact block steps: every accepted step of the
 warm-started solver lowers the inner objective, so a partial solve still
@@ -54,7 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .glasso import GGLInstance, PrecisionEstimate, log_det_pd, solve_ggl, warm_start
+from .glasso import GGLInstance, PrecisionEstimate, solve_ggl, warm_start
 from .losses import (
     _divide_by_bound,
     batch_grad,
@@ -193,26 +195,18 @@ def theta_update(Xi, E, W, phi, out=None) -> np.ndarray:
     return np.subtract(Xi, np.multiply(P, phi, out=P), out=P)
 
 
-def outer_objective(S, Theta, W, phi, lam, Y, losses, penalize_diagonal=False, out=None, work=None,
-                    log_det=None) -> float:
-    """Value of the full criterion at the current loop variables.
+def outer_objective(S, Theta, est, phi, Y, losses, out=None, work=None) -> float:
+    """The criterion at the loop variables: loss/phi + n/2 (inner objective - phi tr(SW^2)).
 
-    The auxiliary shift never appears: its quadratic penalty
-    Tr{(Xi - M)(I - phi W) W (Xi - M)^T} / 2 equals
-    n/2 [tr(SW) - phi tr(SW^2)] with S = (Xi - M)^T (Xi - M) / n, the
-    cross-product of the same iteration, so it costs m x m products
-    instead of n x m ones.  ``out`` and ``work`` are :func:`batch_value`'s;
-    ``log_det``, log det W when known, saves factoring W again.
+    ``est`` is the inner solve on S, and its objective tr(SW) - log det W +
+    lam l1(W) is used as it is, so nothing is factored.  The shift is never
+    formed: its penalty Tr{(Xi - M)(I - phi W) W (Xi - M)^T} / 2 equals
+    n/2 [tr(SW) - phi tr(SW^2)], with S = (Xi - M)^T (Xi - M) / n of the same
+    iteration.  ``out`` and ``work`` are :func:`batch_value`'s.
     """
     n = np.asarray(Y).shape[0]
-    SW = np.asarray(S, dtype=float) @ W
-    quad = 0.5 * n * float(np.trace(SW) - phi * np.trace(SW @ W))
-    pen = np.sum(np.abs(W))
-    if not penalize_diagonal:
-        pen -= np.sum(np.abs(np.diag(W)))
     lbar = batch_value(losses, Theta, Y, out=out, work=work)
-    log_det = log_det_pd(W) if log_det is None else log_det
-    return float(lbar / phi + quad - 0.5 * n * log_det + 0.5 * n * lam * pen)
+    return float(lbar / phi + 0.5 * n * (est.objective - phi * np.vdot(S @ est.W, est.W)))
 
 
 def _golden_section(fun, lo, hi, tol=1e-10):
@@ -343,10 +337,13 @@ def _prepare(problem) -> PreparedProblem:
             if loss.lipschitz < (1.0 - 1e-12) * bound:
                 raise ValueError(f"column {k}: {loss.kind} loss states gradient-Lipschitz bound "
                                  f"{loss.lipschitz:g} below its certified {bound:g}; build it with make_loss")
-    variances = np.var(Y, axis=0, ddof=1)  # checked before the intercept search runs away on a constant column
+    with np.errstate(over="ignore"):
+        variances = np.var(Y, axis=0, ddof=1)  # checked before the intercept search runs away on a constant column
     low = np.nonzero(variances < 1e-12)[0]
     if low.size:
         raise ValueError(f"column {int(low[0])} has (near-)zero variance")
+    if not np.all(np.isfinite(variances)):
+        raise ValueError(f"column {np.flatnonzero(~np.isfinite(variances))[0]}: sample variance overflows; rescale it")
     W0 = np.diag(1.0 / variances)
     phi = choose_phi(W0, problem.phi_c)
     counts = poisson_preprocess(Y, [k for k, l in enumerate(losses) if l.kind == "poisson_reparam"])
@@ -396,29 +393,26 @@ def first_iteration_s(problem) -> np.ndarray:
 def outer_step(prepared, state, est, tol, work, S=None):
     """One outer step from ``state.Theta`` and the estimate ``est``; returns the new estimate, S and F.
 
-    Writes Xi (Y stays on an all-quadratic problem, whose S is prepared), then
-    E = Xi - M and S = E^T E / n, using ``work``, two n x m scratch arrays it
-    never reads first; solves on S from ``est`` to KKT residual ``tol`` and
-    writes Theta'.  Given ``S``, the polish, it re-solves from the Xi that made S.
+    Writes Xi, then E = Xi - M and S = E^T E / n, using ``work``, two n x m
+    scratch arrays it never reads first; solves on S from ``est`` to KKT
+    residual ``tol`` and writes Theta'.  Given ``S`` (an all-quadratic problem's
+    prepared S, or the polish's), it takes no gradient step and rewrites E only.
     """
     problem, Y, M, phi = prepared.problem, prepared.Y, prepared.M, prepared.phi
     lam = float(problem.lam)  # checked by solve_ggl
     E, B = work
-    if S is None and prepared.S is None:
+    if S is None:
         xi_update(state.Theta, Y, prepared.losses, out=state.Xi)
         S = cross_product(state.Xi, M, out=E)
-    else:  # Xi is unchanged: Y on an all-quadratic problem, or the polished step's image
+    else:
         np.subtract(state.Xi, M, out=E)
-        S = prepared.S if S is None else S
     est = solve_ggl(GGLInstance(S, lam, problem.penalize_diagonal, tol, problem.inner_max_iter), W_init=est)
     try:
         theta_update(state.Xi, E, est.W, phi, out=state.Theta)
     except ValueError:
         raise RuntimeError("inner solver returned W with phi * ||W||_2 > 1; feasibility of the shift "
                            "decomposition is violated (phi stays at its initial value)") from None
-    F = outer_objective(S, state.Theta, est.W, phi, lam, Y, prepared.losses, problem.penalize_diagonal, out=E,
-                        work=B, log_det=est.log_det)
-    return est, S, F
+    return est, S, outer_objective(S, state.Theta, est, phi, Y, prepared.losses, out=E, work=B)
 
 
 def fit(problem, W_init=None) -> FitResult:
@@ -451,7 +445,7 @@ def fit(problem, W_init=None) -> FitResult:
     for k in range(1, problem.max_outer + 1):
         # inexact block step: solve only as tightly as the objective still moves
         tol = max(problem.inner_tol, rel)
-        est, state.S, F = outer_step(prepared, state, est, tol, work)
+        est, state.S, F = outer_step(prepared, state, est, tol, work, S=prepared.S)
         state.F_trace.append(F)
         state.inner_iterations.append(est.iterations)
         state.inner_tols.append(tol)

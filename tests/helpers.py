@@ -105,7 +105,7 @@ def reference_fit(problem, W_init=None):
     def block(Xi, S, W, tol):
         est = solve_ggl(GGLInstance(S, prob.lam, prob.penalize_diagonal, tol, prob.inner_max_iter), W_init=W)
         Theta = Xi + phi * ((M - Xi) @ est.W)
-        return est, Theta, outer_objective(S, Theta, est.W, phi, prob.lam, Y, losses, prob.penalize_diagonal)
+        return est, Theta, outer_objective(S, Theta, est, phi, Y, losses)
 
     F_trace, rel, outer_converged = [], 0.0, False
     for k in range(1, prob.max_outer + 1):

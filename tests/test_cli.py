@@ -396,6 +396,10 @@ class TestFit:
                      id="zero-sum-count"),
         pytest.param("bernoulli", "u,v\n1,0\n1,1\n1,0\n1,1\n", "column 'u' has (near-)zero variance",
                      id="zero-variance"),
+        pytest.param("quadratic", "u,v\n1,1e200\n2,-1e200\n0,3e200\n", "column 'v': sample variance overflows; rescale it",
+                     id="overflowing-variance"),
+        pytest.param("quadratic", "u,v\n1e200,2e200\n-1e200,1e200\n3e200,-1e200\n",
+                     "column 'u': sample variance overflows; rescale it", id="every-variance-overflows"),
     ])
     def test_column_error_names_its_header(self, tmp_path, capsys, command, lam, loss, data, error):
         # the library checks each column and reports "column k"; the CLI names k by its header
@@ -404,7 +408,8 @@ class TestFit:
         write(cfg, json.dumps({"losses": loss, "lambda": lam}))
         table = ["--table", str(tmp_path / "t.csv")] if command == "path" else []
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # the zero-variance column is rejected before its intercept search
+            # the zero-variance column is rejected before its intercept search, an overflowing one before numpy warns
+            warnings.simplefilter("error")
             rc = main([command, "--data", str(tmp_path / "Y.csv"), "--config", str(cfg),
                        "--out", str(tmp_path / "r.json"), *table])
         assert rc == 1
@@ -868,6 +873,90 @@ class TestRun:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and out_dir in err and "Traceback" not in err
+
+
+class TestOutputCollisions:
+    """An output that names an input or another output of the same run is rejected before any fit."""
+
+    @pytest.mark.parametrize("command, outputs, clash", [
+        ("fit", {"--out": "d.csv"}, "d.csv"),
+        ("fit", {"--out": "r.json", "--dot": "./c.json"}, "./c.json"),
+        ("path", {"--out": "s.json", "--table": "sub/../d.csv"}, "sub/../d.csv"),
+        ("fit", {"--out": "r.json", "--dot": "mean.csv"}, "mean.csv"),
+        ("fit", {"--out": "r.json", "--dot": "link.json"}, "link.json"),
+        ("path", {"--out": "s.json", "--table": "s.json", "--dot": "s.json"}, "s.json"),
+        ("fit", {"--out": "r.json", "--dot": "./r.json"}, "./r.json"),
+    ], ids=["out-is-data", "dot-is-config", "table-is-data", "dot-is-mean", "dot-links-to-config",
+            "three-outputs-one-file", "dot-is-out"])
+    def test_rejected_with_the_inputs_unchanged(self, tmp_path, capsys, monkeypatch, command, outputs, clash):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        rng = np.random.default_rng(21)
+        write(tmp_path / "d.csv", "a,b,c\n" + "".join(",".join(repr(float(v)) for v in row) + "\n"
+                                                  for row in rng.standard_normal((30, 3))))
+        write(tmp_path / "mean.csv", "a,b,c\n" + "0,0,0\n" * 30)
+        write(tmp_path / "c.json", json.dumps({"losses": "quadratic", "lambda": 0.1, "mean": {"given": "mean.csv"}}))
+        os.symlink(tmp_path / "c.json", tmp_path / "link.json")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+        for name in ("fit", "fit_path"):
+            monkeypatch.setattr(iggl.cli, name, lambda *a: pytest.fail("fitted"))
+        argv = [x for flag, name in outputs.items() for x in (flag, name)]
+        assert main([command, "--data", "d.csv", "--config", "c.json", *argv]) == 1
+        assert capsys.readouterr().err == f"error: output {clash} is an input or another output of this run\n"
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+        assert sorted(os.listdir(tmp_path / "sub")) == []
+
+    def test_distinct_outputs_are_written(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        sim = simulate(tmp_path)
+        write(tmp_path / "c.json", json.dumps({"losses": "quadratic", "lambda": 0.1}))
+        assert main(["path", "--data", str(sim / "Y.csv"), "--config", "c.json", "--out", "s.json",
+                     "--table", "t.csv", "--dot", "g.dot"]) == 0
+        assert {"s.json", "t.csv", "g.dot"} <= set(os.listdir(tmp_path))
+
+
+GOOD_DATA = "a,b,c\n" + "".join(f"{0.1 * i * i},{(i * 7) % 5},{i % 3}\n" for i in range(12))
+
+
+@pytest.mark.parametrize("config, argv, message", [
+    ("[1, 2]", ["fit"], "config must be a JSON object"),
+    ("{", ["fit"], "invalid JSON"),
+    ({"lambda": 0.1}, ["fit", "--data", "missing.csv", "--config", "c.json"], "cannot open missing.csv"),
+    (None, ["fit", "--data", "d.csv", "--config", "missing.json"], "cannot open missing.json"),
+    ({"losses": 3}, ["fit"], "config: 'losses' must be an object"),
+    ({"losses": {"default": 3}}, ["fit"], "losses.default: loss spec must be a kind string or a one-key object"),
+    ({"losses": {"default": {"huber": 3}}}, ["fit"], "losses.default: loss parameters must be an object"),
+    ({"losses": {"default": "quadratic", "ranges": [{"columns": "0:2"}]}}, ["fit"],
+     "losses.ranges[0]: need 'columns' and 'loss'"),
+    ({"losses": {"default": "quadratic", "ranges": [{"columns": "0-2", "loss": "huber"}]}}, ["fit"],
+     "losses.ranges[0]: column range must look like 'start:stop'"),
+    ({"losses": {"default": "quadratic", "ranges": [{"columns": "1:4", "loss": "huber"}]}}, ["fit"],
+     "losses.ranges[0]: range '1:4' out of bounds for 3 columns"),
+    ({"losses": {"columns": {"a": "huber"}}}, ["fit"], "no loss assigned to columns ['b', 'c'] and no default given"),
+    ({"losses": {"default": "quadratic", "columns": {"z": "huber"}}}, ["fit"], "losses.columns: no such column 'z'"),
+    ({"lambda": "large"}, ["fit"], 'config: \'lambda\' must be a number, "auto", or a grid object'),
+    ({"mean": "zero"}, ["fit"], 'config: \'mean\' must be "intercept" or {"given": "path.csv"}'),
+    ({"lambda": 0.1}, ["fit", "--config", "c.json"], "no input data: pass --data or set 'data' in the config"),
+    ({"V": 1}, ["metrics", "--estimate", "c.json", "--truth", "c.json"], "c.json: no 'W' entry"),
+    (None, ["simulate", "--pattern", "chain", "--m", "3", "--n", "10", "--out-dir", "sim"],
+     "IGGL_SEED must be an integer, got 'three'"),
+], ids=["config-not-an-object", "config-not-json", "data-missing", "config-missing", "losses-not-an-object",
+        "loss-spec-not-a-kind", "loss-params-not-an-object", "range-without-loss", "range-not-start-stop",
+        "range-out-of-bounds", "column-without-loss", "unknown-column", "lambda-not-a-number", "mean-unknown",
+        "no-data", "metrics-without-W", "seed-not-an-integer"])
+def test_input_error_exits_1_with_one_line(tmp_path, capsys, monkeypatch, config, argv, message):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("IGGL_SEED", "three")
+    write(tmp_path / "d.csv", GOOD_DATA)
+    if config is not None:
+        write(tmp_path / "c.json", config if isinstance(config, str) else json.dumps(config))
+    if argv == ["fit"]:
+        argv = ["fit", "--data", "d.csv", "--config", "c.json"]
+    before = sorted(os.listdir(tmp_path))
+    assert main([*argv, "--out", "r.json"] if argv[0] == "fit" else argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1 and message in captured.err
+    assert captured.out == "" and sorted(os.listdir(tmp_path)) == before
 
 
 class TestMetrics:

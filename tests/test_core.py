@@ -12,11 +12,13 @@ from iggl import (
     ColumnLoss,
     FitProblem,
     GGLInstance,
+    PrecisionEstimate,
     batch_grad,
     choose_phi,
     estimate_intercepts,
     first_iteration_s,
     fit,
+    ggl_objective,
     kkt_residual,
     lambda_grid,
     log_det_pd,
@@ -204,6 +206,12 @@ class TestThetaUpdate:
             theta_update(Xi, E, W, 0.5 * (1.0 + 1e-9))
 
 
+def estimate_at(S, W, lam, penalize_diagonal=False):
+    """A :class:`PrecisionEstimate` of W on S whose objective is the inner one, as ``solve_ggl`` would return."""
+    return PrecisionEstimate(W, ggl_objective(S, W, lam, penalize_diagonal), 0.0, 0, True, np.linalg.inv(W),
+                             log_det_pd(W))
+
+
 class TestOuterObjective:
     def test_vanishing_trace_terms(self):
         rng = np.random.default_rng(4)
@@ -212,7 +220,7 @@ class TestOuterObjective:
         lam = 0.3
         n = Y.shape[0]
         S = (Y - Y).T @ (Y - Y) / n  # Xi = M = Y
-        val = outer_objective(S, Y, W, 0.01, lam, Y, quad_map(3))
+        val = outer_objective(S, Y, estimate_at(S, W, lam), 0.01, Y, quad_map(3))
         expect = -0.5 * n * log_det_pd(W)  # off-diagonal penalty is zero for diagonal W
         assert val == pytest.approx(expect, rel=1e-12)
 
@@ -222,19 +230,22 @@ class TestOuterObjective:
         W = np.array([[1.0, 0.25], [0.25, 1.0]])
         n = Y.shape[0]
         S = (Y - Y).T @ (Y - Y) / n  # Xi = M = Y
-        base = outer_objective(S, Y, W, 0.01, 0.0, Y, quad_map(2))
-        pen = outer_objective(S, Y, W, 0.01, 1.0, Y, quad_map(2))
+        base = outer_objective(S, Y, estimate_at(S, W, 0.0), 0.01, Y, quad_map(2))
+        pen = outer_objective(S, Y, estimate_at(S, W, 1.0), 0.01, Y, quad_map(2))
         assert pen - base == pytest.approx(0.5 * n * 2 * 0.25, rel=1e-12)
+        diag = outer_objective(S, Y, estimate_at(S, W, 1.0, penalize_diagonal=True), 0.01, Y, quad_map(2))
+        assert diag - pen == pytest.approx(0.5 * n * 2 * 1.0, rel=1e-12)
 
-    def test_given_log_det_replaces_the_factorization(self):
+    def test_takes_the_inner_objective_and_factors_nothing(self, monkeypatch):
         rng = np.random.default_rng(6)
         Y = rng.standard_normal((9, 2))
-        W = np.array([[1.0, 0.25], [0.25, 1.0]])
         S = Y.T @ Y / 9
-        fresh = outer_objective(S, Y, W, 0.01, 0.2, Y, quad_map(2))
-        assert outer_objective(S, Y, W, 0.01, 0.2, Y, quad_map(2), log_det=log_det_pd(W)) == fresh
-        assert outer_objective(S, Y, W, 0.01, 0.2, Y, quad_map(2), log_det=log_det_pd(W) + 1.0) == pytest.approx(
-            fresh - 0.5 * 9, rel=1e-12)
+        est = solve_ggl(GGLInstance(S, 0.2))
+        counts = count_calls(monkeypatch, np.linalg, "cholesky", "inv", "slogdet", "det", "eigvalsh")
+        F = outer_objective(S, Y, est, 0.01, Y, quad_map(2))
+        shifted = outer_objective(S, Y, replace(est, objective=est.objective + 1.0), 0.01, Y, quad_map(2))
+        assert counts == dict.fromkeys(counts, 0)
+        assert shifted == pytest.approx(F + 0.5 * 9, rel=1e-12)
 
 
 class TestShiftEliminationIdentity:
@@ -262,7 +273,8 @@ class TestShiftEliminationIdentity:
             worst = max(worst, abs(f1 - f2) / abs(f2))
         assert worst <= 1e-8
 
-    def test_outer_objective_matches_literal_form(self):
+    @pytest.mark.parametrize("penalize_diagonal", [False, True])
+    def test_outer_objective_matches_literal_form(self, penalize_diagonal):
         # with quadratic losses and Theta consistent with (Xi, W, phi), the
         # C-free evaluation equals the criterion evaluated at the explicit shift
         rng = np.random.default_rng(43)
@@ -276,12 +288,12 @@ class TestShiftEliminationIdentity:
         lam = 0.2
         Theta = theta_update(Xi, Xi - M, W, phi)
         S = (Xi - M).T @ (Xi - M) / n
-        got = outer_objective(S, Theta, W, phi, lam, Y, quad_map(m))
+        got = outer_objective(S, Theta, estimate_at(S, W, lam, penalize_diagonal), phi, Y, quad_map(m))
         vals, vecs = np.linalg.eigh(np.eye(m) - phi * W)
         root = (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.T
         C = (Xi - M) @ root
         loss_term = 0.5 * np.sum((M + C @ root - Y) ** 2) / phi
-        pen = lam * (np.sum(np.abs(W)) - np.sum(np.abs(np.diag(W))))
+        pen = lam * (np.sum(np.abs(W)) - (0.0 if penalize_diagonal else np.sum(np.abs(np.diag(W)))))
         literal = loss_term + 0.5 * np.sum((C @ W) * C) - 0.5 * n * log_det_pd(W) + 0.5 * n * pen
         assert got == pytest.approx(literal, rel=1e-10)
 
@@ -506,6 +518,31 @@ class TestFit:
         Y = np.column_stack([np.ones(10), np.arange(10.0)])
         with pytest.raises(ValueError, match="variance"):
             fit(FitProblem(Y=Y, losses=quad_map(2), lam=0.1))
+
+    @pytest.mark.parametrize("change, message", [
+        ({"Y": np.arange(20.0)}, r"^Y must be a 2-d array$"),
+        ({"Y": np.ones((1, 3))}, r"^need at least 2 rows and 2 columns$"),
+        ({"Y": np.ones((20, 1))}, r"^need at least 2 rows and 2 columns$"),
+        ({"max_outer": 0}, r"^max_outer must be at least 1$"),
+        ({"losses": quad_map(2)}, r"^expected 3 losses, got 2$"),
+        ({"M": np.zeros((20, 2))}, r"^M must match Y's shape$"),
+    ], ids=["1-d", "one-row", "one-column", "no-outer-step", "too-few-losses", "M-shape"])
+    def test_malformed_problem_rejected(self, change, message):
+        prob = replace(FitProblem(Y=synth_data("quadratic", 3, 20, seed=5), losses=quad_map(3), lam=0.1), **change)
+        with pytest.raises(ValueError, match=message):
+            fit(prob)
+
+    @pytest.mark.parametrize("scale, column", [((1e200,) * 3, 0), ((1e200, 1.0, 1.0), 0), ((1.0, 1.0, 1e155), 2)],
+                             ids=["every-column", "first-column", "just-past-the-float-range"])
+    @pytest.mark.parametrize("call", [fit, first_iteration_s])
+    def test_overflowing_variance_names_its_column(self, scale, column, call):
+        # before: a ZeroDivisionError from choose_phi (W0 = 0), or numpy's overflow
+        # warnings and then an error naming no column
+        Y = synth_data("quadratic", 3, 50, seed=5) * np.array(scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^column {column}: sample variance overflows; rescale it$"):
+                call(FitProblem(Y=Y, losses=quad_map(3), lam=0.1))
 
     def test_constant_labels_rejected_before_the_intercept_search(self):
         # the search on a constant Bernoulli column runs to its clipped range and warns
@@ -842,22 +879,36 @@ class TestOuterStep:
     def test_outputs_depend_only_on_theta_and_the_estimate(self, name, polish):
         prepared = step_problem(name)
         res = fit(prepared)  # a Theta, Xi, S and estimate from the middle of a run
-        gradient_step = prepared.S is None and not polish
+        given = res.state.S.copy() if polish else prepared.S  # the S that fit passes
         outputs = []
         for fill in (0.0, np.nan, np.nan):
             state = IterState(Theta=res.state.Theta.copy(), Xi=res.state.Xi.copy())
-            if gradient_step:  # Xi is an output; otherwise it is read
+            if given is None:  # Xi is an output; otherwise it is read
                 state.Xi.fill(fill)
             work = (np.full(prepared.Y.shape, fill), np.full(prepared.Y.shape, fill))
-            est, S, F = outer_step(prepared, state, copy.deepcopy(res.estimate), 1e-7, work,
-                                   S=res.state.S.copy() if polish else None)
+            est, S, F = outer_step(prepared, state, copy.deepcopy(res.estimate), 1e-7, work, S=given)
             assert np.all(np.isfinite(state.Theta)) and np.isfinite(F)
             outputs.append((state.Theta, state.Xi, S, est.W, F))
         for got in outputs[1:]:
             for a, b in zip(got, outputs[0]):
                 assert np.array_equal(a, b)
-        assert (outputs[0][2] is prepared.S) == (prepared.S is not None and not polish)
+        assert given is None or outputs[0][2] is given
         assert np.array_equal(outputs[0][1], prepared.Y) == (prepared.S is not None)
+
+    def test_prepared_s_gives_the_gradient_steps_answer_on_an_all_quadratic_problem(self):
+        # the gradient step keeps Xi = Y there, so skipping it changes no bit
+        prepared = step_problem("all-quadratic")
+        res = fit(prepared)
+        outputs = []
+        for given in (None, prepared.S):
+            state = IterState(Theta=res.state.Theta.copy(), Xi=np.full(prepared.Y.shape, np.nan))
+            if given is not None:
+                state.Xi[...] = res.state.Xi
+            work = (np.full(prepared.Y.shape, np.nan), np.full(prepared.Y.shape, np.nan))
+            est, S, F = outer_step(prepared, state, copy.deepcopy(res.estimate), 1e-7, work, S=given)
+            outputs.append((state.Theta, state.Xi, S, est.W, est.iterations, F))
+        for a, b in zip(*outputs):
+            assert np.array_equal(a, b)
 
 
 class TestWarmStartHandOff:

@@ -18,7 +18,8 @@ from iggl import (
     make_precision,
     GraphPattern,
 )
-from iggl.select import degrees_of_freedom
+from iggl.cli import fit_result_document, write_table
+from iggl.select import EDGE_EPS, degrees_of_freedom
 
 from helpers import count_calls, rand_spd, synth_data
 
@@ -217,6 +218,34 @@ class TestFitPath:
         monkeypatch.setattr("iggl.select.fit", lambda *a, **k: pytest.fail("fit called"))
         with pytest.raises(ValueError, match="^penalties must be finite$"):
             fit_path(prob, lambdas)
+
+
+class TestFailedPathFits:
+    """A penalty whose fit raises is recorded, scored inf and skipped by the selection."""
+
+    @staticmethod
+    def _problem():
+        Y = synth_data("quadratic", 5, 100, seed=17)
+        return FitProblem(Y=Y, losses=quad_map(5), lam=0.0), ["x1", "x2", "x3", "x4", "x5"]
+
+    def test_failed_penalty_is_recorded_and_skipped(self, tmp_path):
+        prob, names = self._problem()
+        path = fit_path(prob, [0.3, 0.1, -0.1])
+        assert path.errors == [None, None, "lambda=-0.1: lambda must be finite and nonnegative"]
+        assert path.fits[2] is None and path.fits[0] is not None and path.fits[1] is not None
+        assert np.isfinite(path.bic[:2]).all() and path.bic[2] == np.inf
+        assert path.selected_index == int(np.argmin(path.bic[:2])) == 1
+        table = tmp_path / "path.csv"
+        write_table(str(table), path, EDGE_EPS)
+        assert table.read_text().splitlines()[-1] == "-0.1,,,,failed"
+        doc = fit_result_document(path.fits[1], names, EDGE_EPS, path)
+        assert doc["selection"]["bic"][2] is None and doc["selection"]["selected_index"] == 1
+
+    def test_every_failure_raises_with_each_error(self):
+        prob, _ = self._problem()
+        with pytest.raises(ValueError, match=r"^every path fit failed: lambda=-0\.1: lambda must be finite and "
+                                             r"nonnegative; lambda=-0\.2: lambda must be finite and nonnegative$"):
+            fit_path(prob, [-0.1, -0.2])
 
 
 class TestBregman:
