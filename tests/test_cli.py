@@ -906,14 +906,6 @@ class TestOutputCollisions:
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
         assert sorted(os.listdir(tmp_path / "sub")) == []
 
-    def test_distinct_outputs_are_written(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        sim = simulate(tmp_path)
-        write(tmp_path / "c.json", json.dumps({"losses": "quadratic", "lambda": 0.1}))
-        assert main(["path", "--data", str(sim / "Y.csv"), "--config", "c.json", "--out", "s.json",
-                     "--table", "t.csv", "--dot", "g.dot"]) == 0
-        assert {"s.json", "t.csv", "g.dot"} <= set(os.listdir(tmp_path))
-
 
 GOOD_DATA = "a,b,c\n" + "".join(f"{0.1 * i * i},{(i * 7) % 5},{i % 3}\n" for i in range(12))
 

@@ -273,8 +273,7 @@ class TestShiftEliminationIdentity:
             worst = max(worst, abs(f1 - f2) / abs(f2))
         assert worst <= 1e-8
 
-    @pytest.mark.parametrize("penalize_diagonal", [False, True])
-    def test_outer_objective_matches_literal_form(self, penalize_diagonal):
+    def test_outer_objective_matches_literal_form(self):
         # with quadratic losses and Theta consistent with (Xi, W, phi), the
         # C-free evaluation equals the criterion evaluated at the explicit shift
         rng = np.random.default_rng(43)
@@ -288,12 +287,12 @@ class TestShiftEliminationIdentity:
         lam = 0.2
         Theta = theta_update(Xi, Xi - M, W, phi)
         S = (Xi - M).T @ (Xi - M) / n
-        got = outer_objective(S, Theta, estimate_at(S, W, lam, penalize_diagonal), phi, Y, quad_map(m))
+        got = outer_objective(S, Theta, estimate_at(S, W, lam), phi, Y, quad_map(m))
         vals, vecs = np.linalg.eigh(np.eye(m) - phi * W)
         root = (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.T
         C = (Xi - M) @ root
         loss_term = 0.5 * np.sum((M + C @ root - Y) ** 2) / phi
-        pen = lam * (np.sum(np.abs(W)) - (0.0 if penalize_diagonal else np.sum(np.abs(np.diag(W)))))
+        pen = lam * (np.sum(np.abs(W)) - np.sum(np.abs(np.diag(W))))
         literal = loss_term + 0.5 * np.sum((C @ W) * C) - 0.5 * n * log_det_pd(W) + 0.5 * n * pen
         assert got == pytest.approx(literal, rel=1e-10)
 
@@ -536,8 +535,7 @@ class TestFit:
                              ids=["every-column", "first-column", "just-past-the-float-range"])
     @pytest.mark.parametrize("call", [fit, first_iteration_s])
     def test_overflowing_variance_names_its_column(self, scale, column, call):
-        # before: a ZeroDivisionError from choose_phi (W0 = 0), or numpy's overflow
-        # warnings and then an error naming no column
+        # an infinite variance would make W0 zero and phi a division by zero; the column is named before numpy warns
         Y = synth_data("quadratic", 3, 50, seed=5) * np.array(scale)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
