@@ -399,6 +399,15 @@ def _load_run(args):
         raise InputError(re.sub(r"^column (\d+)", lambda hit: f"column {names[int(hit[1])]!r}", str(exc))) from None
 
 
+def _file_key(path):
+    """What names a file: its (device, inode) when it exists, so hard links match, else its real path."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return st.st_dev, st.st_ino
+
+
 def cmd_run(args) -> int:
     """``fit`` and ``path``: one penalty (a one-point path under ``path``) or a BIC path, then their outputs."""
     cfg, names, prepared = _load_run(args)
@@ -411,11 +420,11 @@ def cmd_run(args) -> int:
     if cfg.get("dot"):
         outputs.append((cfg["dot"], lambda out: write_dot(out, names, doc["edges"], cfg.get("drop_isolated", False))))
     mean = cfg.get("mean")
-    taken = [os.path.realpath(f) for f in (cfg["data"], args.config, isinstance(mean, dict) and mean["given"]) if f]
+    taken = [_file_key(f) for f in (cfg["data"], args.config, isinstance(mean, dict) and mean["given"]) if f]
     for out, _ in outputs:
-        if os.path.realpath(out) in taken:
+        if _file_key(out) in taken:
             raise InputError(f"output {out} is an input or another output of this run")
-        taken.append(os.path.realpath(out))
+        taken.append(_file_key(out))
     if mode == "fixed" and args.command == "fit":
         result = fit(replace(prepared, problem=replace(prepared.problem, lam=lam_spec)))
     else:

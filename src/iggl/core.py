@@ -19,8 +19,9 @@ above one down to one (a bound below one is kept), and with the inner
 solver warm started from the previous W the objective trace is
 non-increasing.  A quadratic column of unit scale steps exactly onto its data,
 so when every column is one, Xi stays Y and S is its cross-product, which
-``_prepare`` computes once for a whole path; given that S, a step takes no
-gradient step, and each fit is one inner solve plus a confirming pass.
+``_prepare`` computes once for a whole path.  Such a fit takes no gradient
+step, and its loss value n phi^2/2 tr(SW^2) cancels the shift term: F = n/2 x
+the inner objective, and each fit is one inner solve plus a confirming pass.
 
 The inner solves are inexact block steps: every accepted step of the
 warm-started solver lowers the inner objective, so a partial solve still
@@ -37,9 +38,10 @@ intercepts and M, loss scaling, W0, phi) is resolved once, by ``_prepare``,
 into a :class:`PreparedProblem` that a whole penalty path shares.
 
 ``fit`` is a loop around :func:`outer_step` (the four lines above), the
-stopping test and the polish.  It allocates four n x m arrays once, Theta, Xi
-(a copy of Y that only a gradient step changes) and two scratch arrays, and
-every step writes them in place.  Every inner solve starts from the previous
+stopping test and the polish.  A fit with gradient steps allocates four n x m
+arrays once, Xi, two scratch arrays and Theta, which every step writes in
+place; an all-quadratic fit's loop uses none, and it forms Xi = Y and Theta
+once, from the returned W.  Every inner solve starts from the previous
 estimate, reusing its inverse and log det; the first from ``W_init`` or W0.
 
 phi is fixed for the whole run at ``phi_c / ||W0||_2``, the largest entry
@@ -118,7 +120,8 @@ class IterState:
     ``S`` is the cross-product on which ``FitResult.estimate`` was solved.
     The lists hold one entry per outer iteration: the objective, and the
     inner solve's iteration count, KKT tolerance and final KKT residual.
-    ``Theta`` and ``Xi`` are the fit's own n x m arrays, ``None`` on a path's unselected fits.
+    ``Theta`` and ``Xi`` are the fit's own n x m arrays, ``None`` on a path's unselected fits
+    and, until the loop ends, in an all-quadratic fit.
     """
 
     Theta: np.ndarray | None
@@ -395,24 +398,27 @@ def outer_step(prepared, state, est, tol, work, S=None):
 
     Writes Xi, then E = Xi - M and S = E^T E / n, using ``work``, two n x m
     scratch arrays it never reads first; solves on S from ``est`` to KKT
-    residual ``tol`` and writes Theta'.  Given ``S`` (an all-quadratic problem's
-    prepared S, or the polish's), it takes no gradient step and rewrites E only.
+    residual ``tol`` and writes Theta'.  Given ``S`` (the polish's), it takes no
+    gradient step and rewrites E only.  An all-quadratic problem's step touches
+    no n x m array: it checks W's feasibility and returns F = n/2 x the inner objective.
     """
     problem, Y, M, phi = prepared.problem, prepared.Y, prepared.M, prepared.phi
     lam = float(problem.lam)  # checked by solve_ggl
-    E, B = work
     if S is None:
         xi_update(state.Theta, Y, prepared.losses, out=state.Xi)
-        S = cross_product(state.Xi, M, out=E)
-    else:
-        np.subtract(state.Xi, M, out=E)
+        S = cross_product(state.Xi, M, out=work[0])
+    elif prepared.S is None:
+        np.subtract(state.Xi, M, out=work[0])
     est = solve_ggl(GGLInstance(S, lam, problem.penalize_diagonal, tol, problem.inner_max_iter), W_init=est)
     try:
-        theta_update(state.Xi, E, est.W, phi, out=state.Theta)
+        if prepared.S is not None:  # the loss value n phi^2/2 tr(SW^2) cancels the shift term
+            _check_feasible(est.W, phi)
+            return est, S, 0.5 * Y.shape[0] * est.objective
+        theta_update(state.Xi, work[0], est.W, phi, out=state.Theta)
     except ValueError:
         raise RuntimeError("inner solver returned W with phi * ||W||_2 > 1; feasibility of the shift "
                            "decomposition is violated (phi stays at its initial value)") from None
-    return est, S, outer_objective(S, state.Theta, est, phi, Y, prepared.losses, out=E, work=B)
+    return est, S, outer_objective(S, state.Theta, est, phi, Y, prepared.losses, out=work[0], work=work[1])
 
 
 def fit(problem, W_init=None) -> FitResult:
@@ -427,19 +433,20 @@ def fit(problem, W_init=None) -> FitResult:
     criterion).  Runs one :func:`outer_step` per iteration until the relative
     change of the objective trace drops below ``outer_tol`` or ``max_outer``
     is reached, then polishes a last inner solve looser than ``inner_tol``.
+    An all-quadratic fit forms its Xi and Theta after that, once.
     """
     prepared = _prepare(problem)
     problem, Y, M, phi = prepared.problem, prepared.Y, prepared.M, prepared.phi
 
     est = prepared.W0 if W_init is None else W_init
-    # Xi first: allocating it last made the next first_iteration_s call 10% slower (perfbench binary_chain)
-    Xi, work, Theta = Y.copy(), (np.empty(Y.shape), np.empty(Y.shape)), np.empty(Y.shape)
+    state, work = IterState(Theta=None, Xi=None), None
+    if prepared.S is None:  # Xi first: allocating it last slowed the next first_iteration_s 10% (binary_chain)
+        state.Xi, work, state.Theta = Y.copy(), (np.empty(Y.shape), np.empty(Y.shape)), np.empty(Y.shape)
     W_start = warm_start(est, Y.shape[1])[0]  # checks W_init; the blend or _check_feasible checks its feasibility
     if prepared.S is None:
-        theta_update(Y, np.subtract(Y, M, out=work[0]), W_start, phi, out=Theta)
+        theta_update(Y, np.subtract(Y, M, out=work[0]), W_start, phi, out=state.Theta)
     else:
         _check_feasible(W_start, phi)
-    state = IterState(Theta=Theta, Xi=Xi)
 
     rel = 0.0
     for k in range(1, problem.max_outer + 1):
@@ -465,6 +472,8 @@ def fit(problem, W_init=None) -> FitResult:
         state.inner_iterations[-1] += est.iterations
         state.inner_tols[-1] = problem.inner_tol
         state.inner_kkt[-1] = est.kkt_residual
+    if prepared.S is not None:  # Xi = Y, and Theta blends it through the returned W only
+        state.Xi, state.Theta = Y.copy(), theta_update(Y, Y - M, est.W, phi)
 
     return FitResult(estimate=est, state=state, phi=phi, lam=float(problem.lam),
                      converged=outer_converged and est.converged, intercepts=prepared.intercepts, M=M,

@@ -886,8 +886,9 @@ class TestOutputCollisions:
         ("fit", {"--out": "r.json", "--dot": "link.json"}, "link.json"),
         ("path", {"--out": "s.json", "--table": "s.json", "--dot": "s.json"}, "s.json"),
         ("fit", {"--out": "r.json", "--dot": "./r.json"}, "./r.json"),
+        ("fit", {"--out": "h.csv"}, "h.csv"),
     ], ids=["out-is-data", "dot-is-config", "table-is-data", "dot-is-mean", "dot-links-to-config",
-            "three-outputs-one-file", "dot-is-out"])
+            "three-outputs-one-file", "dot-is-out", "out-is-a-hard-link-to-data"])
     def test_rejected_with_the_inputs_unchanged(self, tmp_path, capsys, monkeypatch, command, outputs, clash):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "sub").mkdir()
@@ -897,6 +898,7 @@ class TestOutputCollisions:
         write(tmp_path / "mean.csv", "a,b,c\n" + "0,0,0\n" * 30)
         write(tmp_path / "c.json", json.dumps({"losses": "quadratic", "lambda": 0.1, "mean": {"given": "mean.csv"}}))
         os.symlink(tmp_path / "c.json", tmp_path / "link.json")
+        os.link(tmp_path / "d.csv", tmp_path / "h.csv")
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
         for name in ("fit", "fit_path"):
             monkeypatch.setattr(iggl.cli, name, lambda *a: pytest.fail("fitted"))

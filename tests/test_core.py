@@ -773,6 +773,34 @@ class TestAgainstReferenceLoop:
         assert ref["polished"]
         assert_fit_equals_reference(fit(prob), ref)
 
+    @pytest.mark.parametrize("name", ["half-scale-quadratic", "quadratic-bernoulli"])
+    def test_one_inexact_column_evaluates_the_criterion_at_every_step(self, monkeypatch, name):
+        # a quadratic column of scale 0.5, or a Bernoulli column, does not step onto Y, so the fit takes gradient steps
+        if name == "half-scale-quadratic":
+            Y = synth_data("quadratic", 5, 100, seed=48)
+            losses = (make_loss("quadratic", scale_factor=0.5),) + quad_map(4)
+        else:
+            kinds = ("quadratic", "bernoulli", "quadratic", "bernoulli", "quadratic")
+            Y = np.column_stack([synth_data(kind, 5, 150, seed=49)[:, k] for k, kind in enumerate(kinds)])
+            losses = tuple(make_loss(kind) for kind in kinds)
+        prob = self._at_fraction_of_lambda_max(Y, losses, max_outer=30)
+        assert _prepare(prob).S is None
+        calls = count_calls(monkeypatch, iggl.core, "solve_ggl", "outer_objective", "batch_value")
+        res = fit(prob)
+        counted = dict(calls)  # reference_fit's own outer_objective calls reach iggl.core.batch_value too
+        ref = reference_fit(prob)
+        assert res.state.k > 2
+        assert counted == dict.fromkeys(counted, res.state.k + ref["polished"])
+        assert_fit_equals_reference(res, ref)
+
+    def test_all_quadratic_fit_returns_its_own_theta_and_xi(self):
+        Y = synth_data("quadratic", 6, 100, seed=47)
+        prob = self._at_fraction_of_lambda_max(Y, quad_map(6))
+        res, ref = fit(prob), reference_fit(prob)
+        assert np.array_equal(res.state.Theta, ref["Theta"]) and np.array_equal(res.state.Xi, ref["Xi"])
+        assert np.array_equal(res.state.Xi, Y)
+        assert not any(np.shares_memory(res.state.Xi, a) for a in (Y, _prepare(prob).Y, res.state.Theta))
+
     def test_run_ending_in_a_polish(self):
         Y = synth_data("bernoulli", 8, 300, seed=21)
         prob = self._at_fraction_of_lambda_max(Y, loss_map_for("bernoulli", Y), max_outer=6)
@@ -813,7 +841,8 @@ class TestSharedCrossProduct:
     """An all-quadratic problem's S is computed once, by ``_prepare``, and every fit of a path reads it."""
 
     def test_a_path_makes_one_cross_product_and_no_gradient_step(self, monkeypatch):
-        calls = count_calls(monkeypatch, iggl.core, "cross_product", "batch_grad", "xi_update", "theta_update")
+        names = ("cross_product", "batch_grad", "xi_update", "theta_update", "outer_objective", "batch_value")
+        calls = count_calls(monkeypatch, iggl.core, *names)
         per_fit, original = [], iggl.select.fit
 
         def counted_fit(*args, **kwargs):
@@ -826,8 +855,10 @@ class TestSharedCrossProduct:
         Y = synth_data("quadratic", 6, 120, seed=51)
         prepared = _prepare(FitProblem(Y=Y, losses=quad_map(6), lam=0.0))
         path = iggl.fit_path(prepared, lambda_grid(first_iteration_s(prepared), n_points=5))
-        assert calls == {"cross_product": 1, "batch_grad": 0, "xi_update": 0, "theta_update": 10}
-        assert per_fit == [2] * 5
+        # each fit forms its Theta once, after its loop, and takes F from the inner objective
+        assert calls == {"cross_product": 1, "batch_grad": 0, "xi_update": 0, "theta_update": 5,
+                         "outer_objective": 0, "batch_value": 0}
+        assert per_fit == [1] * 5
         assert all(res.state.k == 2 and res.state.S is prepared.S for res in path.fits)
         sel = path.fits[path.selected_index].state
         assert np.array_equal(sel.Xi, Y) and not np.shares_memory(sel.Xi, prepared.Y)
@@ -852,6 +883,28 @@ class TestSharedCrossProduct:
         W = fit(prepared).estimate.W
         assert np.array_equal(W, fit(_prepare(prob)).estimate.W)
         assert np.array_equal(first_iteration_s(prepared), cross_product(prob.Y, prepared.M))
+
+
+class TestAllQuadraticObjective:
+    """An all-quadratic fit takes F = n/2 x the inner objective, because its loss value cancels the shift term."""
+
+    @pytest.mark.parametrize("case", ["intercepts", "M-given", "penalize-diagonal", "polished"])
+    def test_each_trace_entry_is_the_criterion_on_the_returned_arrays(self, monkeypatch, case):
+        m = 12 if case == "polished" else 6
+        Y = synth_data("quadratic", m, 100, seed=5 if case == "polished" else 54)
+        options = {"polished": {"lam": 0.05, "inner_max_iter": 1}, "penalize-diagonal": {"penalize_diagonal": True},
+                   "M-given": {"M": 0.3 * np.random.default_rng(54).standard_normal(Y.shape)}}.get(case, {})
+        prob = replace(FitProblem(Y=Y, losses=quad_map(m), lam=0.1), **options)
+        solves, solve = [], iggl.core.solve_ggl
+        monkeypatch.setattr(iggl.core, "solve_ggl", lambda *a, **kw: solves.append(solve(*a, **kw)) or solves[-1])
+        res = fit(prob)
+        st = res.state
+        assert _prepare(prob).S is not None and len(solves) == st.k + (case == "polished")
+        for F, est in zip(st.F_trace, solves[:st.k - 1] + solves[-1:]):  # a polish replaces the last entry
+            Theta = theta_update(st.Xi, st.Xi - res.M, est.W, res.phi)
+            want = outer_objective(st.S, Theta, est, res.phi, Y, res.losses)
+            assert abs(F - want) <= 1e-12 * abs(want)
+        assert np.array_equal(Theta, st.Theta) and est is res.estimate
 
 
 def step_problem(name):
@@ -1018,7 +1071,9 @@ class TestTracedLayers:
         assert res.state.k == 12 and all(f.state.k == 2 for f in path.fits)
         assert count["core.fit"] == 1 and count["select.fit"] == 3
         assert count["glasso.solve"] == solves
-        assert count["core.objective"] == solves
-        assert count["losses.value"] == solves
-        assert count["core.theta_update"] == solves + 1  # the Bernoulli fit's Theta_0; the Gaussian fits have none
+        # the Gaussian fits take F from the inner objective and form Theta once each, after their loop
+        binary_solves = res.state.k + refs[0]["polished"]
+        assert count["core.objective"] == binary_solves
+        assert count["losses.value"] == binary_solves
+        assert count["core.theta_update"] == binary_solves + 1 + 3  # + the Bernoulli fit's Theta_0
         assert count["losses.grad"] == res.state.k  # the polish and the Gaussian fits take no gradient step
