@@ -60,13 +60,14 @@ import numpy as np
 
 from .glasso import GGLInstance, PrecisionEstimate, solve_ggl, warm_start
 from .losses import (
+    _VALUE,
     _divide_by_bound,
+    _scaled_kernel,
     batch_grad,
     batch_value,
     check_domain,
     check_params,
     default_lipschitz,
-    kernel_value,
     loss_value,  # not called here; perfbench/spans.py rebinds core.loss_value to count calls
     make_loss,
     robust_scale,
@@ -261,30 +262,24 @@ def estimate_intercepts(Y, losses) -> np.ndarray:
             if 0.0 < ybar < 1.0:
                 alpha[k] = np.log(ybar) - np.log1p(-ybar)
                 continue
-
-        def column_loss(a, y=y, loss=loss):
-            return float(np.sum(kernel_value(loss, np.full_like(y, a), y)))
-
-        if loss.kind in ("bernoulli", "huberized_hinge", "lorenz"):
+        clipped = loss.kind in ("bernoulli", "huberized_hinge", "lorenz")
+        if clipped:
             try:
                 sigma = robust_scale(y)
             except ValueError:
                 sigma = 0.0
             bound = 20.0 * max(sigma, 1.0)
             lo, hi = -bound, bound
-            a_hat = _golden_section(column_loss, lo, hi)
-            if min(a_hat - lo, hi - a_hat) < 1e-6 * (hi - lo):
-                warnings.warn(
-                    f"column {k}: intercept search hit the clipped range [{lo:g}, {hi:g}]; "
-                    "the 1-d problem may be unbounded below"
-                )
         else:
             lo, hi = float(np.min(y)), float(np.max(y))
-            if hi - lo <= 0:
-                alpha[k] = lo
-                continue
-            a_hat = _golden_section(column_loss, lo, hi)
-        alpha[k] = a_hat
+        # the kernel broadcasts the scalar intercept over y; a constant column's bracket has zero width
+        alpha[k] = a_hat = lo if hi - lo <= 0 else _golden_section(
+            lambda a: float(np.sum(_scaled_kernel(_VALUE, loss, a, y))), lo, hi)
+        if clipped and min(a_hat - lo, hi - a_hat) < 1e-6 * (hi - lo):
+            warnings.warn(
+                f"column {k}: intercept search hit the clipped range [{lo:g}, {hi:g}]; "
+                "the 1-d problem may be unbounded below"
+            )
     return alpha
 
 
@@ -329,17 +324,16 @@ def _prepare(problem) -> PreparedProblem:
     for k, loss in enumerate(losses):
         try:
             check_domain(loss.kind, Y[:, k])
+            # count losses are resolved from the data below; the unit step trusts a stored bound,
+            # and the tolerance admits a rescaled bound of 1.0 that recomputes an ulp above it
             if loss.kind != "poisson_reparam":
                 check_params(loss.kind, loss.params)
+                bound = loss.scale_factor * default_lipschitz(loss.kind, loss.params)
+                if loss.lipschitz < (1.0 - 1e-12) * bound:
+                    raise ValueError(f"{loss.kind} loss states gradient-Lipschitz bound "
+                                     f"{loss.lipschitz:g} below its certified {bound:g}; build it with make_loss")
         except ValueError as exc:
             raise ValueError(f"column {k}: {exc}") from None
-        # the unit step trusts a stored bound; the tolerance admits a rescaled bound of 1.0 that
-        # recomputes an ulp above it, and count losses are resolved from the data below
-        if loss.kind != "poisson_reparam":
-            bound = loss.scale_factor * default_lipschitz(loss.kind, loss.params)
-            if loss.lipschitz < (1.0 - 1e-12) * bound:
-                raise ValueError(f"column {k}: {loss.kind} loss states gradient-Lipschitz bound "
-                                 f"{loss.lipschitz:g} below its certified {bound:g}; build it with make_loss")
     with np.errstate(over="ignore"):
         variances = np.var(Y, axis=0, ddof=1)  # checked before the intercept search runs away on a constant column
     low = np.nonzero(variances < 1e-12)[0]
@@ -439,11 +433,10 @@ def fit(problem, W_init=None) -> FitResult:
     problem, Y, M, phi = prepared.problem, prepared.Y, prepared.M, prepared.phi
 
     est = prepared.W0 if W_init is None else W_init
+    W_start = warm_start(est, Y.shape[1])[0]  # checks W_init; the blend or _check_feasible checks its feasibility
     state, work = IterState(Theta=None, Xi=None), None
     if prepared.S is None:  # Xi first: allocating it last slowed the next first_iteration_s 10% (binary_chain)
         state.Xi, work, state.Theta = Y.copy(), (np.empty(Y.shape), np.empty(Y.shape)), np.empty(Y.shape)
-    W_start = warm_start(est, Y.shape[1])[0]  # checks W_init; the blend or _check_feasible checks its feasibility
-    if prepared.S is None:
         theta_update(Y, np.subtract(Y, M, out=work[0]), W_start, phi, out=state.Theta)
     else:
         _check_feasible(W_start, phi)

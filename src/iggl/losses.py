@@ -334,20 +334,14 @@ def _column_op(op, loss, theta, y):
             raise ValueError("poisson_reparam is a column-level loss; pass 1-d vectors")
         out = _block_op(op, (loss,), theta[:, None], y[:, None])
         return float(out[0]) if op == _VALUE else out[:, 0]
-    kernel = _KERNELS[loss.kind]
-    out = loss.scale_factor * kernel[op](theta, y, *(loss.params[p] for p in kernel[2]))
+    out = _scaled_kernel(op, loss, theta, y)
     return float(out) if out.ndim == 0 else out
 
 
-def kernel_value(loss: ColumnLoss, theta, y):
-    """Elementwise scaled loss values, without :func:`loss_value`'s domain check.
-
-    For callers that have checked the column once and evaluate it many
-    times, such as the intercept search of ``fit``.  Not for
-    ``poisson_reparam``, whose value is column-level.
-    """
-    value, _, names = _KERNELS[loss.kind]
-    return loss.scale_factor * value(theta, y, *(loss.params[p] for p in names))
+def _scaled_kernel(op, loss, theta, y):
+    """Scaled kernel ``op`` of one elementwise column, without a domain check (the intercept search's too)."""
+    kernel = _KERNELS[loss.kind]
+    return loss.scale_factor * kernel[op](theta, y, *(loss.params[p] for p in kernel[2]))
 
 
 def _block_op(op, losses, theta, y, **buffers):

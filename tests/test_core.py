@@ -34,7 +34,7 @@ from iggl import (
 import iggl.core
 import iggl.select
 from iggl.core import IterState, _prepare, cross_product, outer_step, spectral_norm
-from iggl.losses import check_domain, kernel_value
+from iggl.losses import _VALUE, _scaled_kernel, check_domain, robust_scale
 
 from helpers import ALL_KINDS, assert_fit_equals_reference, count_calls, loss_map_for, reference_fit, synth_data
 
@@ -339,7 +339,7 @@ class TestIntercepts:
         for k, loss in enumerate(losses):
             y = Y[:, k]
             searched = iggl.core._golden_section(
-                lambda a: float(np.sum(kernel_value(loss, np.full_like(y, a), y))), -20.0, 20.0)
+                lambda a: float(np.sum(_scaled_kernel(_VALUE, loss, a, y))), -20.0, 20.0)
             assert abs(alpha[k] - searched) <= 1e-7
 
     def test_huber_center_of_symmetry(self):
@@ -364,6 +364,25 @@ class TestIntercepts:
             calls.append(args)
             return loss_value(*args)
 
+        def first_search(y, loss):
+            # the search as first written: a full column through loss_value at every step, a search
+            # call per bracket kind, and its own exit for a zero-width bracket
+            def column_loss(a):
+                return float(np.sum(loss_value(loss, np.full_like(y, a), y)))
+
+            if loss.kind in ("bernoulli", "huberized_hinge", "lorenz"):
+                try:
+                    sigma = robust_scale(y)
+                except ValueError:
+                    sigma = 0.0
+                bound = 20.0 * max(sigma, 1.0)
+                return iggl.core._golden_section(column_loss, -bound, bound)
+            lo, hi = float(np.min(y)), float(np.max(y))
+            if hi - lo <= 0:
+                return lo
+            return iggl.core._golden_section(column_loss, lo, hi)
+
+        searched = ("huber", "tukey", "hampel", "huberized_hinge", "lorenz")
         for seed, kind in enumerate(ALL_KINDS):
             Y = synth_data(kind, 3, 60, seed=30 + seed)
             losses = loss_map_for(kind, Y)
@@ -372,9 +391,21 @@ class TestIntercepts:
                 alpha = estimate_intercepts(Y, losses)
             with monkeypatch.context() as mp:
                 # the same golden-section search, each step through loss_value
-                mp.setattr(iggl.core, "kernel_value", loss_value)
+                mp.setattr(iggl.core, "_scaled_kernel", lambda op, loss, theta, y: loss_value(loss, theta, y))
                 ref = estimate_intercepts(Y, losses)
             assert np.array_equal(alpha, ref), kind
+            if kind in searched:
+                assert np.array_equal(alpha, [first_search(Y[:, k], l) for k, l in enumerate(losses)]), kind
+        # constant columns, which only a direct call can pass (fit rejects zero variance), and
+        # one-label Bernoulli columns, which the search clips
+        Y = np.column_stack([np.full(20, 2.5), np.full(20, -1.0), np.full(20, 0.25), np.ones(20), np.zeros(20)])
+        losses = (make_loss("huber", c=1.0), make_loss("tukey", c=2.0), make_loss("hampel", a=1.0, b=2.0, c=3.0),
+                  make_loss("bernoulli"), make_loss("bernoulli"))
+        with pytest.warns(UserWarning, match="clipped"), monkeypatch.context() as mp:
+            mp.setattr(iggl.core, "loss_value", counted)
+            alpha = estimate_intercepts(Y, losses)
+        assert np.array_equal(alpha, [first_search(Y[:, k], l) for k, l in enumerate(losses)])
+        assert np.array_equal(alpha[:3], [2.5, -1.0, 0.25])
         # the domain is checked once per fit, not once per search step
         assert calls == []
 

@@ -14,7 +14,7 @@ from iggl import (
     robust_scale,
     scale_to_unit_lipschitz,
 )
-from iggl.losses import kernel_value
+from iggl.losses import _VALUE, _scaled_kernel
 
 from helpers import ALL_KINDS
 
@@ -358,7 +358,7 @@ class TestReadOnlyInputs:
                 loss_value(loss, T[:, k], Yb[:, k])
                 loss_grad(loss, T[:, k], Yb[:, k])
                 if loss.kind != "poisson_reparam":
-                    kernel_value(loss, T[:, k], Yb[:, k])
+                    _scaled_kernel(_VALUE, loss, T[:, k], Yb[:, k])
             assert np.array_equal(T, T0) and np.array_equal(Yb, Y0)
 
 
