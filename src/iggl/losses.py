@@ -339,7 +339,7 @@ def _column_op(op, loss, theta, y):
 
 
 def _scaled_kernel(op, loss, theta, y):
-    """Scaled kernel ``op`` of one elementwise column, without a domain check (the intercept search's too)."""
+    """Scaled kernel ``op`` of one elementwise column, with no domain check; the intercept search calls it."""
     kernel = _KERNELS[loss.kind]
     return loss.scale_factor * kernel[op](theta, y, *(loss.params[p] for p in kernel[2]))
 

@@ -315,6 +315,13 @@ class TestSimulate:
                    "--out-dir", str(tmp_path / "x")])
         assert rc == 1
 
+    def test_single_node_rejected(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        rc = main(["simulate", "--pattern", "chain", "--m", "1", "--n", "10", "--out-dir", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: need m >= 2\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [
         ("--n", "0"), ("--n", "1"), ("--mu", "nan"), ("--mu", "inf"), ("--edge-weight", "nan"),
         ("--diagonal-boost", "-inf"),
@@ -415,6 +422,17 @@ class TestFit:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {error}\n"
         assert not (tmp_path / "r.json").exists() and not (tmp_path / "t.csv").exists()
+
+    def test_count_loss_parameters_rejected(self, tmp_path, capsys):
+        data = tmp_path / "Y.csv"
+        write(data, "a,b\n" + "".join(f"{0.1 * i * i},{i % 3}\n" for i in range(8)))
+        cfg = tmp_path / "cfg.json"
+        write(cfg, json.dumps({"lambda": 0.1, "losses": {"default": "quadratic",
+                                                        "columns": {"b": {"poisson_reparam": {"c": 2}}}}}))
+        rc = main(["fit", "--data", str(data), "--config", str(cfg), "--out", str(tmp_path / "r.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: column 'b': poisson_reparam takes no config parameters\n"
+        assert not (tmp_path / "r.json").exists()
 
     def test_domain_checked_once_per_column(self, tmp_path, monkeypatch):
         # by the library's preparation only; the CLI names its errors by the header

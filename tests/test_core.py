@@ -409,6 +409,10 @@ class TestIntercepts:
         # the domain is checked once per fit, not once per search step
         assert calls == []
 
+    def test_one_loss_per_column_required(self):
+        with pytest.raises(ValueError, match="^expected one loss per column$"):
+            estimate_intercepts(np.ones((3, 2)), quad_map(1))
+
     def test_count_column_uses_log_total(self):
         Y = np.column_stack([np.array([1.0, 2.0, 3.0]), np.ones(3)])
         losses = (ColumnLoss("poisson_reparam", {"count_total": 6.0}, 2.0 / 6.0, 1.0), make_loss("quadratic"))

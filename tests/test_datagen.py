@@ -51,6 +51,10 @@ class TestMakePrecision:
         with pytest.raises(ValueError):
             make_precision(GraphPattern("random", 4, sparsity=1.5))
 
+    def test_single_node_rejected(self):
+        with pytest.raises(ValueError, match="^need m >= 2$"):
+            make_precision(GraphPattern("chain", 1))
+
 
 class TestSamplers:
     def test_gaussian_covariance_concentrates(self):

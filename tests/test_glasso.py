@@ -321,6 +321,29 @@ class TestSolve:
         with pytest.raises(ValueError, match=message):
             solve_ggl(inst)
 
+    @pytest.mark.parametrize("S, message", [
+        (np.zeros((2, 3)), "S must be square"),
+        (np.array([[0.0, 0.0], [0.0, 1.0]]), "S has a nonpositive diagonal entry; objective is unbounded"),
+    ])
+    def test_rejects_unsolvable_s(self, S, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            solve_ggl(GGLInstance(S, 0.1))
+
+    def test_no_descent_step_raises(self, monkeypatch):
+        # every trial W after the start fails to factor, so step-halving runs out of trials
+        calls, objective = [], iggl.glasso._objective
+
+        def start_only(*args):
+            calls.append(args)
+            if len(calls) > 1:
+                raise ValueError("Matrix is not positive definite")
+            return objective(*args)
+
+        monkeypatch.setattr(iggl.glasso, "_objective", start_only)
+        with pytest.raises(RuntimeError, match="^no positive definite descent step found after step-halving$"):
+            solve_ggl(GGLInstance(np.array([[1.0, 0.3], [0.3, 1.0]]), 0.1))
+        assert len(calls) == 1 + 100
+
     def test_zero_iterations_accepted(self):
         est = solve_ggl(GGLInstance(np.array([[1.0, 0.3], [0.3, 1.0]]), 0.1, max_iter=0))
         assert est.iterations == 0 and not est.converged

@@ -14,7 +14,7 @@ from iggl import (
     robust_scale,
     scale_to_unit_lipschitz,
 )
-from iggl.losses import _VALUE, _scaled_kernel
+from iggl.losses import _VALUE, _scaled_kernel, check_domain
 
 from helpers import ALL_KINDS
 
@@ -412,6 +412,19 @@ class TestConfigResolution:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             loss_from_config("logistic", {})
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: make_loss("huber", scale_factor=0, c=1.0), "scale_factor must be positive"),
+        (lambda: make_loss("poisson_reparam", count_total=0), "poisson_reparam requires a positive count_total"),
+        (lambda: default_lipschitz("logistic"), "unknown loss kind 'logistic'"),
+        (lambda: check_domain("logistic", np.zeros(3)), "unknown loss kind 'logistic'"),
+        (lambda: loss_from_config("poisson_reparam", {"c": 1.0}), "poisson_reparam takes no config parameters"),
+        (lambda: loss_from_config("huber", {"c_mult": 2.0}), "huber: scale-relative cutoffs need column data"),
+    ], ids=["zero-scale", "zero-count-total", "lipschitz-of-unknown-kind", "domain-of-unknown-kind",
+            "count-config-parameters", "mult-without-column"])
+    def test_rejected_arguments_named(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):

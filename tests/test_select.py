@@ -210,6 +210,11 @@ class TestFitPath:
         with pytest.raises(ValueError):
             fit_path(prob, [0.1, 0.2])
 
+    def test_empty_grid_rejected(self):
+        Y = synth_data("quadratic", 3, 30, seed=8)
+        with pytest.raises(ValueError, match="^empty penalty grid$"):
+            fit_path(FitProblem(Y=Y, losses=quad_map(3), lam=0.0), [])
+
     @pytest.mark.parametrize("lambdas", [[np.nan, np.nan], [0.2, np.nan], [np.inf, 0.1]])
     def test_non_finite_penalties_rejected_before_any_fit(self, monkeypatch, lambdas):
         # np.diff(...) >= 0 is False for NaN, so the descending check lets NaN through
