@@ -60,7 +60,9 @@ import numpy as np
 
 from .glasso import GGLInstance, PrecisionEstimate, solve_ggl, warm_start
 from .losses import (
+    _KINDS,
     _VALUE,
+    _check_scale,
     _divide_by_bound,
     _scaled_kernel,
     batch_grad,
@@ -237,11 +239,12 @@ def estimate_intercepts(Y, losses) -> np.ndarray:
     total, and Bernoulli columns the logit of the label mean,
     ``log(ybar) - log1p(-ybar)``, the deviance's exact minimizer; every other
     column is minimized by golden section to an absolute tolerance of 1e-10.
-    Margin/deviance columns whose minimizer runs away (separable labels, or
-    a Bernoulli column of one label) are clipped to +/- 20 * max(scale, 1)
-    with a warning.  Like :func:`batch_value`, it assumes every column lies
-    in its kind's domain (count columns: nonnegative integers with a positive
-    total); ``_prepare`` checks each column once before calling it.
+    Columns of a kind with a label pair, whose minimizer can run away
+    (separable labels, or a Bernoulli column of one label), are clipped to
+    +/- 20 * max(scale, 1) with a warning.  Like :func:`batch_value`, it
+    assumes every column lies in its kind's domain (count columns:
+    nonnegative integers with a positive total); ``_prepare`` checks each
+    column once before calling it.
     """
     Y = np.asarray(Y, dtype=float)
     m = Y.shape[1]
@@ -262,7 +265,7 @@ def estimate_intercepts(Y, losses) -> np.ndarray:
             if 0.0 < ybar < 1.0:
                 alpha[k] = np.log(ybar) - np.log1p(-ybar)
                 continue
-        clipped = loss.kind in ("bernoulli", "huberized_hinge", "lorenz")
+        clipped = _KINDS[loss.kind].labels is not None
         if clipped:
             try:
                 sigma = robust_scale(y)
@@ -324,12 +327,13 @@ def _prepare(problem) -> PreparedProblem:
     for k, loss in enumerate(losses):
         try:
             check_domain(loss.kind, Y[:, k])
-            # count losses are resolved from the data below; the unit step trusts a stored bound,
+            # count losses are resolved from the data below; the unit step trusts a stored bound (not a NaN),
             # and the tolerance admits a rescaled bound of 1.0 that recomputes an ulp above it
             if loss.kind != "poisson_reparam":
                 check_params(loss.kind, loss.params)
+                _check_scale(loss.scale_factor)
                 bound = loss.scale_factor * default_lipschitz(loss.kind, loss.params)
-                if loss.lipschitz < (1.0 - 1e-12) * bound:
+                if not loss.lipschitz >= (1.0 - 1e-12) * bound:
                     raise ValueError(f"{loss.kind} loss states gradient-Lipschitz bound "
                                      f"{loss.lipschitz:g} below its certified {bound:g}; build it with make_loss")
         except ValueError as exc:

@@ -5,21 +5,22 @@ Every observed variable carries its own discrepancy measure: a deviance
 (Huber, Tukey's bisquare, Hampel's three-part), a margin loss for +/-1
 labels (huberized hinge, Lorenz), or the count loss obtained by eliminating
 the intercept of a Poisson column.  A loss is an immutable
-:class:`ColumnLoss` holding its tuning parameters, a positive multiplier
-``scale_factor`` applied to the raw loss, and ``lipschitz``, a certified
-upper bound on the Lipschitz constant of the scaled gradient.  The
+:class:`ColumnLoss` holding its tuning parameters, a finite positive
+multiplier ``scale_factor`` applied to the raw loss, and ``lipschitz``, a
+certified upper bound on the Lipschitz constant of the scaled gradient.  The
 fixed-unit-step outer solver needs ``lipschitz <= 1``, which
 :func:`scale_to_unit_lipschitz` enforces by dividing a bound above one down
 to one; a column is reweighted only through ``make_loss(kind, scale_factor=...)``.
 
-Each formula is written once, as a per-kind kernel.  The single-column
-:func:`loss_value` and :func:`loss_grad` check that the column lies in its
-kind's domain (:func:`check_domain`) before calling it.  The whole-matrix
-:func:`batch_value` and :func:`batch_grad` make one kernel call per loss
-kind and assume in-domain data: ``fit`` checks each column once.  Kernels
-that work in place write only into arrays they allocate themselves or, for
-the Bernoulli and quadratic kinds, arrays the caller passes as ``out=`` and
-``work=``; inputs are never modified.
+Each loss kind is one row of the private table ``_KINDS``: its value and
+gradient kernels, parameter names, raw gradient-Lipschitz bound as a
+function of the parameters, label pair (or none) and whether its kernels
+write in place; one lookup there rejects an unknown kind.  The single-column
+:func:`loss_value` and :func:`loss_grad` check the column's domain first.
+The whole-matrix :func:`batch_value` and :func:`batch_grad` make one kernel
+call per loss kind and assume in-domain data: ``fit`` checks each column
+once.  In-place kernels write only into arrays they allocate or that the
+caller passes as ``out=`` and ``work=``; inputs are never modified.
 
 All operations here are pure functions of their arguments; ``ColumnLoss``
 values are safe to share across threads.
@@ -29,33 +30,17 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
-
-LOSS_KINDS = (
-    "quadratic",
-    "bernoulli",
-    "huber",
-    "tukey",
-    "hampel",
-    "huberized_hinge",
-    "lorenz",
-    "poisson_reparam",
-)
-
-# psi-type location losses: l(theta, y) = integral of psi over [0, |theta-y|]
-PSI_KINDS = ("huber", "tukey", "hampel")
-# margin losses for labels in {-1, +1}
-MARGIN_KINDS = ("huberized_hinge", "lorenz")
-# raw gradient-Lipschitz bounds of the kinds without parameters in them
-_FIXED_LIPSCHITZ = {"quadratic": 1.0, "bernoulli": 0.25, "lorenz": 2.0, "huber": 1.0, "tukey": 1.0}
 
 _FLOAT_MAX = float(np.finfo(float).max)  # a Python float: an integer above it has no float value
 
 # consistency factor making the MAD unbiased for a Gaussian sigma
 MAD_SCALE = 1.4826
 
-# recommended tuning multiples of the robust scale estimate
+# the psi-type location losses, l(theta, y) = integral of psi over [0, |theta-y|],
+# and their recommended tuning multiples of the robust scale estimate
 DEFAULT_TUNING = {
     "huber": {"c_mult": 1.345},
     "tukey": {"c_mult": 4.685},
@@ -76,7 +61,8 @@ class ColumnLoss:
         ``a``/``b``/``c`` for hampel, ``count_total`` for poisson_reparam).
         Treated as immutable after construction.
     scale_factor : float
-        Positive multiplier applied to the raw loss and its gradient.
+        Multiplier applied to the raw loss and its gradient: a finite
+        positive number, which :func:`make_loss` and ``fit`` check.
     lipschitz : float
         Certified bound on the Lipschitz constant of the scaled gradient.
         ``fit`` relies on it and rejects a bound below ``scale_factor *
@@ -99,20 +85,17 @@ def make_loss(kind, scale_factor=1.0, **params) -> ColumnLoss:
     is ``scale_factor`` times the raw-gradient bound of
     :func:`default_lipschitz`.
     """
-    if kind not in LOSS_KINDS:
-        raise ValueError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
-    if scale_factor <= 0:
-        raise ValueError("scale_factor must be positive")
     if kind == "huberized_hinge":
         params.setdefault("c", 1.0)
     check_params(kind, params)
+    _check_scale(scale_factor)
     lips = scale_factor * default_lipschitz(kind, params)
     return ColumnLoss(kind=kind, params=params, scale_factor=scale_factor, lipschitz=lips)
 
 
 def check_params(kind, params):
     """Raise ``ValueError`` unless ``params`` are exactly valid parameters of ``kind``."""
-    unknown = set(params) - set(_KERNELS[kind][2])
+    unknown = set(params) - set(_KINDS[kind].params)
     if unknown:
         raise ValueError(f"{kind}: unknown parameters {sorted(unknown)}")
     if kind in ("huber", "tukey", "huberized_hinge"):
@@ -128,22 +111,18 @@ def check_params(kind, params):
 
 
 def default_lipschitz(kind, params=None) -> float:
-    """Certified upper bound on the raw (unscaled) gradient's Lipschitz constant.
+    """Certified upper bound on the raw (unscaled) gradient's Lipschitz constant, from ``kind``'s row.
 
-    quadratic -> 1, bernoulli -> 1/4, lorenz -> 2, huber -> 1,
-    huberized_hinge -> 1/c, hampel -> max(1, a/(c-b)), tukey -> 1,
-    poisson_reparam -> count_total/2 (curvature bound of the column loss).
+    Without ``params``, huberized_hinge takes its default c = 1.
     """
-    if kind in _FIXED_LIPSCHITZ:
-        return _FIXED_LIPSCHITZ[kind]
-    params = params or {}
-    if kind == "huberized_hinge":
-        return 1.0 / params.get("c", 1.0)
-    if kind == "hampel":
-        return max(1.0, params["a"] / (params["c"] - params["b"]))
-    if kind == "poisson_reparam":
-        return params["count_total"] / 2.0
-    raise ValueError(f"unknown loss kind {kind!r}")
+    return _KINDS[kind].bound(params or {})
+
+
+def _check_scale(scale_factor):
+    """Raise ``ValueError`` unless ``scale_factor`` is a finite positive number."""
+    if not 0 < scale_factor <= _FLOAT_MAX:
+        raise ValueError("scale_factor must be positive" if scale_factor <= 0 else
+                         f"scale_factor must be finite, got {scale_factor!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -261,43 +240,53 @@ def _poisson_grad(theta, y, count_total):
     return count_total * (e / np.sum(e, axis=1, keepdims=True)).T - y
 
 
-# kind -> (value kernel, gradient kernel, parameter names)
-_KERNELS = {
-    "quadratic": (_quadratic_value, lambda theta, y, out=None: np.subtract(theta, y, out=out), ()),
-    "bernoulli": (_bernoulli_value, _bernoulli_grad, ()),
-    "huber": (_huber_value, _huber_grad, ("c",)),
-    "tukey": (_tukey_value, _tukey_grad, ("c",)),
-    "hampel": (_hampel_value, _hampel_grad, ("a", "b", "c")),
-    "huberized_hinge": (_hinge_value, _hinge_grad, ("c",)),
-    "lorenz": (_lorenz_value, _lorenz_grad, ()),
-    "poisson_reparam": (_poisson_value, _poisson_grad, ("count_total",)),
-}
+class _Kind(NamedTuple):
+    value: object  # the raw kernels, indexed by _VALUE and _GRAD
+    grad: object
+    params: tuple  # parameter names, passed to the kernels in this order
+    bound: object  # raw gradient-Lipschitz bound as a function of the parameter dict
+    labels: tuple | None = None  # the two labels a column may hold, or None for no label check
+    in_place: bool = False  # the kernels write into arrays passed as out= (and work= for the value)
+
+
+class _KindTable(dict):
+    def __missing__(self, kind):  # the one place an unknown kind is rejected
+        raise ValueError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
+
+
+_KINDS = _KindTable({
+    "quadratic": _Kind(_quadratic_value, lambda theta, y, out=None: np.subtract(theta, y, out=out), (),
+                       lambda p: 1.0, in_place=True),
+    "bernoulli": _Kind(_bernoulli_value, _bernoulli_grad, (), lambda p: 0.25, labels=(0, 1), in_place=True),
+    "huber": _Kind(_huber_value, _huber_grad, ("c",), lambda p: 1.0),
+    "tukey": _Kind(_tukey_value, _tukey_grad, ("c",), lambda p: 1.0),
+    "hampel": _Kind(_hampel_value, _hampel_grad, ("a", "b", "c"), lambda p: max(1.0, p["a"] / (p["c"] - p["b"]))),
+    "huberized_hinge": _Kind(_hinge_value, _hinge_grad, ("c",), lambda p: 1.0 / p.get("c", 1.0), labels=(-1, 1)),
+    "lorenz": _Kind(_lorenz_value, _lorenz_grad, (), lambda p: 2.0, labels=(-1, 1)),
+    "poisson_reparam": _Kind(_poisson_value, _poisson_grad, ("count_total",), lambda p: p["count_total"] / 2.0),
+})
+LOSS_KINDS = tuple(_KINDS)
 _VALUE, _GRAD = 0, 1
-# kinds whose kernels write into arrays passed as out= (and work= for the value)
-_IN_PLACE = ("quadratic", "bernoulli")
 
 
 def check_domain(kind, y):
     """Raise ``ValueError`` unless column ``y`` lies in the domain of ``kind``.
 
-    Bernoulli labels are {0, 1}, margin labels {-1, +1}, and count columns
-    nonnegative integers with a positive total; other kinds take any real.
-    An unknown kind is rejected.
+    A kind with a label pair takes those two labels only (Bernoulli {0, 1},
+    margin kinds {-1, +1}), and count columns nonnegative integers with a
+    positive total; other kinds take any real.  An unknown kind is rejected.
     """
+    labels = _KINDS[kind].labels
     y = np.asarray(y)
-    if kind == "bernoulli":
-        if not np.all((y == 0) | (y == 1)):
-            raise ValueError("bernoulli loss requires labels in {0, 1}")
-    elif kind in MARGIN_KINDS:
-        if not np.all((y == -1) | (y == 1)):
-            raise ValueError(f"{kind} loss requires labels in {{-1, +1}}")
+    if labels is not None:
+        lo, hi = labels
+        if not np.all((y == lo) | (y == hi)):  # the message names {0, 1} or {-1, +1}
+            raise ValueError(f"{kind} loss requires labels in {{{lo}, {'+' if lo < 0 else ''}{hi}}}")
     elif kind == "poisson_reparam":
         if np.any(y < 0) or np.any(y != np.floor(y)):
             raise ValueError("count loss requires nonnegative integer entries")
         if np.sum(y) <= 0:
             raise ValueError("count column sums to zero")
-    elif kind not in LOSS_KINDS:
-        raise ValueError(f"unknown loss kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -340,16 +329,16 @@ def _column_op(op, loss, theta, y):
 
 def _scaled_kernel(op, loss, theta, y):
     """Scaled kernel ``op`` of one elementwise column, with no domain check; the intercept search calls it."""
-    kernel = _KERNELS[loss.kind]
-    return loss.scale_factor * kernel[op](theta, y, *(loss.params[p] for p in kernel[2]))
+    row = _KINDS[loss.kind]
+    return loss.scale_factor * row[op](theta, y, *(loss.params[p] for p in row.params))
 
 
 def _block_op(op, losses, theta, y, **buffers):
-    """Scaled kernel ``op`` on an (n, p) block of columns of one kind, into ``buffers`` if ``_IN_PLACE``."""
-    kernels = _KERNELS[losses[0].kind]
-    params = [np.array([loss.params[p] for loss in losses]) for p in kernels[2]]
+    """Scaled kernel ``op`` on an (n, p) block of columns of one kind, into ``buffers`` if it writes in place."""
+    row = _KINDS[losses[0].kind]
+    params = [np.array([loss.params[p] for loss in losses]) for p in row.params]
     scale = np.array([loss.scale_factor for loss in losses])
-    r = kernels[op](theta, y, *params, **(buffers if losses[0].kind in _IN_PLACE else {}))
+    r = row[op](theta, y, *params, **(buffers if row.in_place else {}))
     return r if np.all(scale == 1.0) else np.multiply(r, scale, out=r)
 
 
@@ -402,7 +391,7 @@ def loss_from_config(kind, params=None, column=None) -> ColumnLoss:
         if params:
             raise ValueError("poisson_reparam takes no config parameters")
         return ColumnLoss(kind="poisson_reparam", params={}, scale_factor=1.0, lipschitz=1.0)
-    if kind in PSI_KINDS:
+    if kind in DEFAULT_TUNING:
         mults = {k: v for k, v in params.items() if k.endswith("_mult")}
         absolutes = {k: v for k, v in params.items() if not k.endswith("_mult")}
         if mults and absolutes:
@@ -440,7 +429,7 @@ def batch_grad(losses, Theta, Y, out=None) -> np.ndarray:
     :func:`batch_value`.  Written into ``out`` when given (not ``Theta``).
     """
     Theta, Y, groups = _check_batch(losses, Theta, Y)
-    if len(groups) == 1 and (out is None or losses[0].kind in _IN_PLACE):
+    if len(groups) == 1 and (out is None or _KINDS[losses[0].kind].in_place):
         return _block_op(_GRAD, losses, Theta, Y, out=out)
     G = np.empty_like(Theta) if out is None else out
     for cols, group in groups:

@@ -681,6 +681,26 @@ class TestFit:
         with pytest.raises(ValueError, match=f"^column 1: {message}"):
             fit(FitProblem(Y=Y, losses=(make_loss("quadratic"), bad), lam=0.1))
 
+    @pytest.mark.parametrize("scale, message", [
+        (-1.0, "scale_factor must be positive"),
+        (0.0, "scale_factor must be positive"),
+        (float("nan"), "scale_factor must be finite, got nan"),
+        (float("inf"), "scale_factor must be finite, got inf"),
+    ])
+    def test_hand_built_scale_factor_checked(self, scale, message):
+        # a scale of -1 or 0 used to fit to the max_outer cap, a NaN or infinite one to fail later on S
+        Y = np.random.default_rng(5).standard_normal((50, 3))
+        bad = ColumnLoss("huber", {"c": 1.0}, scale_factor=scale)
+        with pytest.raises(ValueError, match=f"^column 2: {message}$"):
+            fit(FitProblem(Y=Y, losses=(make_loss("huber", c=1.0),) * 2 + (bad,), lam=0.1))
+
+    def test_nan_bound_rejected(self):
+        # NaN compares false both ways: it used to pass the bound test and carry NaN into FitResult.losses
+        Y = np.random.default_rng(5).standard_normal((50, 3))
+        bad = ColumnLoss("huber", {"c": 1.0}, lipschitz=float("nan"))
+        with pytest.raises(ValueError, match="^column 0: huber loss states gradient-Lipschitz bound nan below "):
+            fit(FitProblem(Y=Y, losses=(bad,) * 3, lam=0.1))
+
     def test_out_of_domain_label_names_column(self):
         Y = synth_data("bernoulli", 3, 30, seed=16)
         Y[4, 1] = 2.0

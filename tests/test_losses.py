@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -14,11 +16,12 @@ from iggl import (
     robust_scale,
     scale_to_unit_lipschitz,
 )
-from iggl.losses import _VALUE, _scaled_kernel, check_domain
+from iggl.losses import LOSS_KINDS, _VALUE, _scaled_kernel, check_domain, check_params
 
 from helpers import ALL_KINDS
 
 SCALAR_KINDS = [k for k in ALL_KINDS if k != "poisson_reparam"]
+UNKNOWN_KIND = f"unknown loss kind 'logistic'; expected one of {LOSS_KINDS}"
 
 
 def _loss(kind):
@@ -120,6 +123,7 @@ class TestLipschitzConstants:
         assert default_lipschitz("quadratic") == 1.0
         assert default_lipschitz("huber") == 1.0
         assert default_lipschitz("huberized_hinge", {"c": 2.0}) == 0.5
+        assert default_lipschitz("huberized_hinge") == 1.0  # make_loss's default c = 1
         assert default_lipschitz("hampel", {"a": 2.0, "b": 4.0, "c": 8.0}) == 1.0
         assert default_lipschitz("hampel", {"a": 3.0, "b": 4.0, "c": 5.0}) == 3.0
 
@@ -415,15 +419,31 @@ class TestConfigResolution:
 
     @pytest.mark.parametrize("call, message", [
         (lambda: make_loss("huber", scale_factor=0, c=1.0), "scale_factor must be positive"),
+        (lambda: make_loss("huber", scale_factor=-1.0, c=1.0), "scale_factor must be positive"),
+        (lambda: make_loss("huber", scale_factor=float("nan"), c=1.0), "scale_factor must be finite, got nan"),
+        (lambda: make_loss("huber", scale_factor=float("inf"), c=1.0), "scale_factor must be finite, got inf"),
         (lambda: make_loss("poisson_reparam", count_total=0), "poisson_reparam requires a positive count_total"),
-        (lambda: default_lipschitz("logistic"), "unknown loss kind 'logistic'"),
-        (lambda: check_domain("logistic", np.zeros(3)), "unknown loss kind 'logistic'"),
+        (lambda: default_lipschitz("logistic"), UNKNOWN_KIND),
+        (lambda: check_domain("logistic", np.zeros(3)), UNKNOWN_KIND),
+        (lambda: check_params("logistic", {}), UNKNOWN_KIND),
+        (lambda: make_loss("logistic"), UNKNOWN_KIND),
+        (lambda: check_domain("bernoulli", np.array([0.0, 2.0])), "bernoulli loss requires labels in {0, 1}"),
+        (lambda: check_domain("huberized_hinge", np.array([0.0, 1.0])),
+         "huberized_hinge loss requires labels in {-1, +1}"),
+        (lambda: check_domain("lorenz", np.array([-1.0, 0.5])), "lorenz loss requires labels in {-1, +1}"),
+        (lambda: check_domain("poisson_reparam", np.array([1.0, 2.5])),
+         "count loss requires nonnegative integer entries"),
+        (lambda: check_domain("poisson_reparam", np.array([-1.0, 2.0])),
+         "count loss requires nonnegative integer entries"),
+        (lambda: check_domain("poisson_reparam", np.zeros(3)), "count column sums to zero"),
         (lambda: loss_from_config("poisson_reparam", {"c": 1.0}), "poisson_reparam takes no config parameters"),
         (lambda: loss_from_config("huber", {"c_mult": 2.0}), "huber: scale-relative cutoffs need column data"),
-    ], ids=["zero-scale", "zero-count-total", "lipschitz-of-unknown-kind", "domain-of-unknown-kind",
-            "count-config-parameters", "mult-without-column"])
+    ], ids=["zero-scale", "negative-scale", "nan-scale", "infinite-scale", "zero-count-total",
+            "lipschitz-of-unknown-kind", "domain-of-unknown-kind", "params-of-unknown-kind", "unknown-kind",
+            "bernoulli-labels", "hinge-labels", "lorenz-labels", "fractional-count", "negative-count",
+            "zero-count-column", "count-config-parameters", "mult-without-column"])
     def test_rejected_arguments_named(self, call, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()
 
     def test_invalid_params(self):
