@@ -40,15 +40,19 @@ into a :class:`PreparedProblem` that a whole penalty path shares.
 ``fit`` is a loop around :func:`outer_step` (the four lines above), the
 stopping test and the polish.  A fit with gradient steps allocates four n x m
 arrays once, Xi, two scratch arrays and Theta, which every step writes in
-place; an all-quadratic fit's loop uses none, and it forms Xi = Y and Theta
-once, from the returned W.  Every inner solve starts from the previous
-estimate, reusing its inverse and log det; the first from ``W_init`` or W0.
+place; an all-quadratic fit's loop uses none, and its state builds Xi = Y
+and Theta from the prepared Y and M and the returned W on the first read of
+either, so the caller must not modify Y (or a given M) before reading them,
+and a path builds them for no fit it releases.  Every inner solve starts
+from the previous estimate, reusing its inverse and log det; the first from
+``W_init`` or W0.
 
 phi is fixed for the whole run at ``phi_c / ||W0||_2``, the largest entry
 of the diagonal W0.  A warm start and every iterate must keep ``I - phi*W``
-positive semi-definite; :func:`theta_update`, and ``fit`` for a warm start it
-does not blend, check this exactly by a Cholesky factorization of
-``(1 + 1e-12)/phi * I - W``.
+positive semi-definite; :func:`theta_update` checks this exactly by a
+Cholesky factorization of ``(1 + 1e-12)/phi * I - W``.  An all-quadratic fit
+factors its warm start and each solve's W once so, and its Theta blends the
+last of them without factoring it again.
 """
 
 from __future__ import annotations
@@ -123,18 +127,40 @@ class IterState:
     ``S`` is the cross-product on which ``FitResult.estimate`` was solved.
     The lists hold one entry per outer iteration: the objective, and the
     inner solve's iteration count, KKT tolerance and final KKT residual.
-    ``Theta`` and ``Xi`` are the fit's own n x m arrays, ``None`` on a path's unselected fits
-    and, until the loop ends, in an all-quadratic fit.
+    ``Theta`` and ``Xi`` are the fit's own n x m arrays, ``None`` on a path's unselected fits.
+    An all-quadratic fit builds both on the first read of either, from the
+    prepared Y and M and the returned W (so modify neither before reading
+    them); assigning either first releases both unbuilt.  ``repr`` and
+    ``==`` leave them out.
     """
 
-    Theta: np.ndarray | None
-    Xi: np.ndarray | None
+    Theta: np.ndarray | None = field(repr=False, compare=False)
+    Xi: np.ndarray | None = field(repr=False, compare=False)
     S: np.ndarray | None = None
     F_trace: list = field(default_factory=list)
     k: int = 0
     inner_iterations: list = field(default_factory=list)
     inner_tols: list = field(default_factory=list)
     inner_kkt: list = field(default_factory=list)
+
+
+class _UnreadState(IterState):
+    """An all-quadratic fit's state, a plain IterState again once its Theta or Xi is read or assigned."""
+
+    def __getattr__(self, name):  # reached only for unset attributes: Theta and Xi, built from _blend_args
+        if name not in ("Theta", "Xi"):
+            raise AttributeError(f"'IterState' object has no attribute '{name}'")
+        Y, M, W, phi = self.__dict__.pop("_blend_args")
+        self.__class__ = IterState
+        self.Xi, self.Theta = Y.copy(), _blend(Y, Y - M, W, phi)
+        return self.__dict__[name]
+
+    def __setattr__(self, name, value):
+        if name in ("Theta", "Xi"):
+            del self.__dict__["_blend_args"]
+            self.__class__ = IterState
+            self.Theta = self.Xi = None
+        object.__setattr__(self, name, value)
 
 
 @dataclass
@@ -194,10 +220,13 @@ def theta_update(Xi, E, W, phi, out=None) -> np.ndarray:
     this is phi * ||W||_2 <= 1.  No matrix square roots are formed.  The
     result goes into ``out`` when given (not Xi or E).
     """
-    Xi = np.asarray(Xi, dtype=float)
     W = np.asarray(W, dtype=float)
     _check_feasible(W, phi)
-    P = np.matmul(np.asarray(E, dtype=float), W, out=out)
+    return _blend(np.asarray(Xi, dtype=float), np.asarray(E, dtype=float), W, phi, out)
+
+
+def _blend(Xi, E, W, phi, out=None):  # theta_update's arithmetic, on a W already checked feasible
+    P = np.matmul(E, W, out=out)
     return np.subtract(Xi, np.multiply(P, phi, out=P), out=P)
 
 
@@ -336,6 +365,8 @@ def _prepare(problem) -> PreparedProblem:
                 if not loss.lipschitz >= (1.0 - 1e-12) * bound:
                     raise ValueError(f"{loss.kind} loss states gradient-Lipschitz bound "
                                      f"{loss.lipschitz:g} below its certified {bound:g}; build it with make_loss")
+                if loss.lipschitz == np.inf:  # scaling down by it would drop the column from the fit
+                    raise ValueError(f"{loss.kind} loss states an infinite gradient-Lipschitz bound")
         except ValueError as exc:
             raise ValueError(f"column {k}: {exc}") from None
     with np.errstate(over="ignore"):
@@ -431,7 +462,9 @@ def fit(problem, W_init=None) -> FitResult:
     criterion).  Runs one :func:`outer_step` per iteration until the relative
     change of the objective trace drops below ``outer_tol`` or ``max_outer``
     is reached, then polishes a last inner solve looser than ``inner_tol``.
-    An all-quadratic fit forms its Xi and Theta after that, once.
+    An all-quadratic fit's Xi and Theta are built on the first read of
+    either (:class:`IterState`), from the prepared Y, so do not modify Y
+    before reading them.
     """
     prepared = _prepare(problem)
     problem, Y, M, phi = prepared.problem, prepared.Y, prepared.M, prepared.phi
@@ -469,8 +502,9 @@ def fit(problem, W_init=None) -> FitResult:
         state.inner_iterations[-1] += est.iterations
         state.inner_tols[-1] = problem.inner_tol
         state.inner_kkt[-1] = est.kkt_residual
-    if prepared.S is not None:  # Xi = Y, and Theta blends it through the returned W only
-        state.Xi, state.Theta = Y.copy(), theta_update(Y, Y - M, est.W, phi)
+    if prepared.S is not None:  # Xi = Y and Theta = the blend through the returned W, built on first read
+        del state.Theta, state.Xi
+        state._blend_args, state.__class__ = (Y, M, est.W, phi), _UnreadState
 
     return FitResult(estimate=est, state=state, phi=phi, lam=float(problem.lam),
                      converged=outer_converged and est.converged, intercepts=prepared.intercepts, M=M,

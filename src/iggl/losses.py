@@ -65,9 +65,10 @@ class ColumnLoss:
         positive number, which :func:`make_loss` and ``fit`` check.
     lipschitz : float
         Certified bound on the Lipschitz constant of the scaled gradient.
-        ``fit`` relies on it and rejects a bound below ``scale_factor *
-        default_lipschitz(kind, params)``, which the default 1.0 is for lorenz
-        and huberized_hinge with c < 1: build losses with :func:`make_loss`.
+        ``fit`` relies on it and rejects an infinite bound or one below
+        ``scale_factor * default_lipschitz(kind, params)``, which the default
+        1.0 is for lorenz and huberized_hinge with c < 1: build losses with
+        :func:`make_loss`.
         ``fit`` resolves every field of a ``poisson_reparam`` placeholder.
     """
 
@@ -83,13 +84,15 @@ def make_loss(kind, scale_factor=1.0, **params) -> ColumnLoss:
     Parameters omitted for ``huberized_hinge`` default to ``c=1``; a
     parameter the kind does not take is rejected.  The ``lipschitz`` field
     is ``scale_factor`` times the raw-gradient bound of
-    :func:`default_lipschitz`.
+    :func:`default_lipschitz`, and must be finite.
     """
     if kind == "huberized_hinge":
         params.setdefault("c", 1.0)
     check_params(kind, params)
     _check_scale(scale_factor)
     lips = scale_factor * default_lipschitz(kind, params)
+    if not lips <= _FLOAT_MAX:  # scaling down by an infinite bound would drop the column from the fit
+        raise ValueError(f"{kind}: gradient-Lipschitz bound overflows (scale_factor {scale_factor:g}, params {params})")
     return ColumnLoss(kind=kind, params=params, scale_factor=scale_factor, lipschitz=lips)
 
 

@@ -15,7 +15,10 @@ EDGE_EPS = 1e-8
 
 @dataclass
 class PathResult:
-    """Per-penalty fits with their BIC scores and the selected index, the one fit that keeps Theta and Xi."""
+    """Per-penalty fits with their BIC scores and the selected index, the one fit that keeps Theta and Xi.
+
+    On an all-quadratic problem the selected fit builds them on first read, from the prepared Y.
+    """
 
     lambdas: np.ndarray
     fits: list
@@ -94,7 +97,10 @@ def fit_path(problem, lambdas) -> PathResult:
     resolve to the larger penalty.  Each fit is scored as soon as it
     returns, and every fit but the best so far gives up its n x m arrays
     (``state.Theta`` and ``state.Xi`` become ``None``), so a path holds one
-    fit's n x m arrays plus the m x m ones of every penalty.
+    fit's n x m arrays plus the m x m ones of every penalty.  An all-quadratic
+    fit builds its two on first read (:class:`iggl.core.IterState`), so such
+    a path builds none until its selected fit's are read, from the prepared
+    Y: do not modify Y before reading them.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     if lambdas.size == 0:

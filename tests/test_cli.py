@@ -19,7 +19,7 @@ from iggl.cli import _PROBLEM_KEYS, _SCHEMA, main, read_csv_matrix, write_dot
 from iggl.losses import check_domain
 from iggl.select import EDGE_EPS
 
-from helpers import check_dot_grammar, reference_read_csv_matrix
+from helpers import check_dot_grammar, count_calls, reference_read_csv_matrix
 
 
 def write(path, text):
@@ -770,6 +770,21 @@ class TestPath:
         assert len(calls) == 1
         if command == "path":
             assert len(open(tmp_path / "t.csv").read().splitlines()) == 1 + fits
+
+
+    @pytest.mark.parametrize("command, lam", [("fit", 0.1), ("path", "auto")])
+    def test_a_gaussian_run_forms_no_theta_or_xi(self, tmp_path, monkeypatch, command, lam):
+        # the CLI writes no n x m array, so no all-quadratic fit of a run builds its Theta or copies Y as Xi
+        sim = simulate(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        write(cfg, json.dumps({"losses": "quadratic", "lambda": lam}))
+        calls = count_calls(monkeypatch, iggl.core, "outer_step", "theta_update", "_blend")
+        table = ["--table", str(tmp_path / "t.csv")] if command == "path" else []
+        rc = main([command, "--data", str(sim / "Y.csv"), "--config", str(cfg),
+                   "--out", str(tmp_path / "s.json"), *table])
+        assert rc == 0
+        assert calls["outer_step"] >= (1 if command == "fit" else 30)
+        assert calls["theta_update"] == calls["_blend"] == 0
 
 
 def run_outputs(tmp_path, command, lam, name):

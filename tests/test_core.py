@@ -701,6 +701,14 @@ class TestFit:
         with pytest.raises(ValueError, match="^column 0: huber loss states gradient-Lipschitz bound nan below "):
             fit(FitProblem(Y=Y, losses=(bad,) * 3, lam=0.1))
 
+    @pytest.mark.parametrize("entry", [fit, first_iteration_s], ids=["fit", "first_iteration_s"])
+    def test_infinite_bound_rejected(self, entry):
+        # dividing the scale by an infinite bound gave the column scale 0.0: the fit ran to the cap without it
+        Y = np.random.default_rng(5).standard_normal((50, 3))
+        bad = ColumnLoss("huber", {"c": 1.0}, lipschitz=np.inf)
+        with pytest.raises(ValueError, match="^column 2: huber loss states an infinite gradient-Lipschitz bound$"):
+            entry(FitProblem(Y=Y, losses=(make_loss("huber", c=1.0),) * 2 + (bad,), lam=0.1))
+
     def test_out_of_domain_label_names_column(self):
         Y = synth_data("bernoulli", 3, 30, seed=16)
         Y[4, 1] = 2.0
@@ -910,10 +918,10 @@ class TestSharedCrossProduct:
         Y = synth_data("quadratic", 6, 120, seed=51)
         prepared = _prepare(FitProblem(Y=Y, losses=quad_map(6), lam=0.0))
         path = iggl.fit_path(prepared, lambda_grid(first_iteration_s(prepared), n_points=5))
-        # each fit forms its Theta once, after its loop, and takes F from the inner objective
-        assert calls == {"cross_product": 1, "batch_grad": 0, "xi_update": 0, "theta_update": 5,
+        # each fit takes F from the inner objective, and no fit forms its Theta until it is read
+        assert calls == {"cross_product": 1, "batch_grad": 0, "xi_update": 0, "theta_update": 0,
                          "outer_objective": 0, "batch_value": 0}
-        assert per_fit == [1] * 5
+        assert per_fit == [0] * 5
         assert all(res.state.k == 2 and res.state.S is prepared.S for res in path.fits)
         sel = path.fits[path.selected_index].state
         assert np.array_equal(sel.Xi, Y) and not np.shares_memory(sel.Xi, prepared.Y)
@@ -940,16 +948,22 @@ class TestSharedCrossProduct:
         assert np.array_equal(first_iteration_s(prepared), cross_product(prob.Y, prepared.M))
 
 
+def quadratic_case(case):
+    """An all-quadratic problem of :class:`TestAllQuadraticObjective`'s cases, which differ in M and options."""
+    m = 12 if case == "polished" else 6
+    Y = synth_data("quadratic", m, 100, seed=5 if case == "polished" else 54)
+    options = {"polished": {"lam": 0.05, "inner_max_iter": 1}, "penalize-diagonal": {"penalize_diagonal": True},
+               "M-given": {"M": 0.3 * np.random.default_rng(54).standard_normal(Y.shape)}}.get(case, {})
+    return replace(FitProblem(Y=Y, losses=quad_map(m), lam=0.1), **options)
+
+
 class TestAllQuadraticObjective:
     """An all-quadratic fit takes F = n/2 x the inner objective, because its loss value cancels the shift term."""
 
     @pytest.mark.parametrize("case", ["intercepts", "M-given", "penalize-diagonal", "polished"])
     def test_each_trace_entry_is_the_criterion_on_the_returned_arrays(self, monkeypatch, case):
-        m = 12 if case == "polished" else 6
-        Y = synth_data("quadratic", m, 100, seed=5 if case == "polished" else 54)
-        options = {"polished": {"lam": 0.05, "inner_max_iter": 1}, "penalize-diagonal": {"penalize_diagonal": True},
-                   "M-given": {"M": 0.3 * np.random.default_rng(54).standard_normal(Y.shape)}}.get(case, {})
-        prob = replace(FitProblem(Y=Y, losses=quad_map(m), lam=0.1), **options)
+        prob = quadratic_case(case)
+        Y = prob.Y
         solves, solve = [], iggl.core.solve_ggl
         monkeypatch.setattr(iggl.core, "solve_ggl", lambda *a, **kw: solves.append(solve(*a, **kw)) or solves[-1])
         res = fit(prob)
@@ -960,6 +974,69 @@ class TestAllQuadraticObjective:
             want = outer_objective(st.S, Theta, est, res.phi, Y, res.losses)
             assert abs(F - want) <= 1e-12 * abs(want)
         assert np.array_equal(Theta, st.Theta) and est is res.estimate
+
+
+class TestThetaXiOnFirstRead:
+    """An all-quadratic fit builds its Theta and Xi when either is first read, and never for a released fit."""
+
+    @pytest.mark.parametrize("case", ["intercepts", "M-given", "penalize-diagonal", "polished"])
+    @pytest.mark.parametrize("first", ["Theta", "Xi"])
+    def test_built_arrays_match_the_reference_loop(self, monkeypatch, case, first):
+        prob = quadratic_case(case)
+        ref = reference_fit(prob)
+        assert ref["polished"] == (case == "polished")
+        blends = count_calls(monkeypatch, iggl.core, "_blend", "theta_update")
+        res = fit(prob)
+        st = res.state
+        assert blends == {"_blend": 0, "theta_update": 0}
+        built = getattr(st, first)
+        assert blends == {"_blend": 1, "theta_update": 0}
+        assert_fit_equals_reference(res, ref)
+        assert built is getattr(st, first)
+        assert st.Theta is st.Theta and st.Xi is st.Xi  # a second read returns the same objects
+        assert blends["_blend"] == 1 and type(st) is IterState
+        assert not np.shares_memory(st.Xi, prob.Y) and not np.shares_memory(st.Theta, st.Xi)
+
+    def test_repr_and_equality_build_nothing(self, monkeypatch):
+        blends = count_calls(monkeypatch, iggl.core, "_blend")
+        st = fit(quadratic_case("intercepts")).state
+        assert "Theta" not in repr(st) and st == st and copy.copy(st) == st
+        assert blends["_blend"] == 0
+        assert np.array_equal(st.Xi, copy.copy(st).Xi)
+
+    @pytest.mark.parametrize("name", ["Theta", "Xi"])
+    def test_assigning_either_releases_both_unbuilt(self, monkeypatch, name):
+        blends = count_calls(monkeypatch, iggl.core, "_blend")
+        st = fit(quadratic_case("intercepts")).state
+        kept = np.zeros(3)
+        setattr(st, name, kept)
+        other = {"Theta": "Xi", "Xi": "Theta"}[name]
+        assert getattr(st, name) is kept and getattr(st, other) is None
+        assert blends["_blend"] == 0 and "_blend_args" not in vars(st) and type(st) is IterState
+
+    def test_released_path_fits_read_none_and_build_nothing(self, monkeypatch):
+        blends = count_calls(monkeypatch, iggl.core, "_blend", "theta_update")
+        Y = synth_data("quadratic", 6, 120, seed=51)
+        prob = FitProblem(Y=Y, losses=quad_map(6), lam=0.0)
+        path = iggl.fit_path(prob, lambda_grid(first_iteration_s(prob), n_points=5))
+        assert path.selected_index > 0
+        for i, res in enumerate(path.fits):
+            if i != path.selected_index:
+                assert res.state.Theta is None and res.state.Xi is None
+        assert blends == {"_blend": 0, "theta_update": 0}
+        assert np.array_equal(path.fits[path.selected_index].state.Xi, Y)
+        assert blends == {"_blend": 1, "theta_update": 0}
+
+    @pytest.mark.parametrize("case", ["intercepts", "polished"])
+    @pytest.mark.parametrize("read", [False, True], ids=["unread", "read"])
+    def test_feasibility_checked_once_per_w(self, monkeypatch, case, read):
+        # the warm start, then each outer step's returned W (the polish's too); the blend factors nothing again
+        calls = count_calls(monkeypatch, iggl.core, "_check_feasible", "outer_step")
+        res = fit(quadratic_case(case))
+        if read:
+            assert res.state.Theta is not None
+        assert calls["outer_step"] == res.state.k + (case == "polished")
+        assert calls["_check_feasible"] == calls["outer_step"] + 1
 
 
 def step_problem(name):
@@ -1126,9 +1203,9 @@ class TestTracedLayers:
         assert res.state.k == 12 and all(f.state.k == 2 for f in path.fits)
         assert count["core.fit"] == 1 and count["select.fit"] == 3
         assert count["glasso.solve"] == solves
-        # the Gaussian fits take F from the inner objective and form Theta once each, after their loop
+        # the Gaussian fits take F from the inner objective and form no Theta inside the traced calls
         binary_solves = res.state.k + refs[0]["polished"]
         assert count["core.objective"] == binary_solves
         assert count["losses.value"] == binary_solves
-        assert count["core.theta_update"] == binary_solves + 1 + 3  # + the Bernoulli fit's Theta_0
+        assert count["core.theta_update"] == binary_solves + 1  # + the Bernoulli fit's Theta_0
         assert count["losses.grad"] == res.state.k  # the polish and the Gaussian fits take no gradient step

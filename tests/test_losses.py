@@ -423,6 +423,10 @@ class TestConfigResolution:
         (lambda: make_loss("huber", scale_factor=float("nan"), c=1.0), "scale_factor must be finite, got nan"),
         (lambda: make_loss("huber", scale_factor=float("inf"), c=1.0), "scale_factor must be finite, got inf"),
         (lambda: make_loss("poisson_reparam", count_total=0), "poisson_reparam requires a positive count_total"),
+        (lambda: make_loss("lorenz", scale_factor=1e308),
+         "lorenz: gradient-Lipschitz bound overflows (scale_factor 1e+308, params {})"),
+        (lambda: make_loss("huberized_hinge", c=1e-320),
+         "huberized_hinge: gradient-Lipschitz bound overflows (scale_factor 1, params {'c': 1e-320})"),
         (lambda: default_lipschitz("logistic"), UNKNOWN_KIND),
         (lambda: check_domain("logistic", np.zeros(3)), UNKNOWN_KIND),
         (lambda: check_params("logistic", {}), UNKNOWN_KIND),
@@ -439,6 +443,7 @@ class TestConfigResolution:
         (lambda: loss_from_config("poisson_reparam", {"c": 1.0}), "poisson_reparam takes no config parameters"),
         (lambda: loss_from_config("huber", {"c_mult": 2.0}), "huber: scale-relative cutoffs need column data"),
     ], ids=["zero-scale", "negative-scale", "nan-scale", "infinite-scale", "zero-count-total",
+            "overflowing-scaled-bound", "overflowing-raw-bound",
             "lipschitz-of-unknown-kind", "domain-of-unknown-kind", "params-of-unknown-kind", "unknown-kind",
             "bernoulli-labels", "hinge-labels", "lorenz-labels", "fractional-count", "negative-count",
             "zero-count-column", "count-config-parameters", "mult-without-column"])

@@ -175,7 +175,7 @@ class TestFitPath:
         assert len({id(f.M) for f in path.fits}) == 1
 
     def test_retained_memory_does_not_grow_with_the_grid(self):
-        # only the selected fit keeps its n x m arrays; each further penalty adds m x m ones
+        # only the selected fit keeps its n x m arrays, built here on first read; each further penalty adds m x m ones
         from iggl import first_iteration_s
 
         Y = synth_data("quadratic", 4, 5000, seed=10)
@@ -188,6 +188,7 @@ class TestFitPath:
             try:
                 before = tracemalloc.get_traced_memory()[0]
                 path = fit_path(prob, grid)
+                assert path.fits[path.selected_index].state.Theta is not None
                 retained[n_points] = tracemalloc.get_traced_memory()[0] - before
             finally:
                 tracemalloc.stop()
@@ -195,6 +196,25 @@ class TestFitPath:
             del path
         assert retained[4] > Y.nbytes
         assert retained[16] - retained[4] < Y.nbytes // 4
+
+    def test_an_unread_all_quadratic_path_holds_no_n_by_m_array(self):
+        # every fit builds its Theta and Xi on first read, so a path builds none until its selected fit's are read
+        from iggl import first_iteration_s
+
+        Y = synth_data("quadratic", 4, 5000, seed=10)
+        prob = FitProblem(Y=Y, losses=quad_map(4), lam=0.0)
+        grid = lambda_grid(first_iteration_s(prob), n_points=16)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            path = fit_path(prob, grid)
+            unread = tracemalloc.get_traced_memory()[0] - before
+            assert path.fits[path.selected_index].state.Xi is not None
+            read = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert unread < Y.nbytes // 4
+        assert read - unread >= 2 * Y.nbytes
 
     def test_rejected_problem_raises_once(self):
         Y = synth_data("bernoulli", 3, 30, seed=16)
