@@ -303,8 +303,8 @@ def write_dot(path, names, edges, drop_isolated=False):
         fh.write("\n".join(lines) + "\n")
 
 
-def write_table(out, path, eps):
-    """The path table: one row per penalty, ``failed`` where its fit raised."""
+def write_table(out, path):
+    """The path table: one row per penalty, ``failed`` where its fit raised; ``df`` is the one its BIC counted."""
     with open(out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["lambda", "objective", "df", "bic", "converged"])
@@ -313,7 +313,7 @@ def write_table(out, path, eps):
                 writer.writerow([repr(float(lam)), "", "", "", "failed"])
             else:
                 writer.writerow([repr(float(lam)), repr(float(res.state.F_trace[-1])),
-                                 degrees_of_freedom(res.estimate.W, eps), repr(float(score)),
+                                 degrees_of_freedom(res.estimate.W), repr(float(score)),
                                  str(bool(res.converged)).lower()])
 
 
@@ -416,7 +416,7 @@ def cmd_run(args) -> int:
     eps = cfg["edge_threshold"]
     outputs = [(cfg.get("out", args.default_out), lambda out: _dump_json(doc, out))]
     if args.command == "path":
-        outputs.insert(0, (cfg.get("table", "path.csv"), lambda out: write_table(out, path, eps)))
+        outputs.insert(0, (cfg.get("table", "path.csv"), lambda out: write_table(out, path)))
     if cfg.get("dot"):
         outputs.append((cfg["dot"], lambda out: write_dot(out, names, doc["edges"], cfg.get("drop_isolated", False))))
     mean = cfg.get("mean")

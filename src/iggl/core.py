@@ -66,14 +66,12 @@ from .glasso import GGLInstance, PrecisionEstimate, solve_ggl, warm_start
 from .losses import (
     _KINDS,
     _VALUE,
-    _check_scale,
     _divide_by_bound,
     _scaled_kernel,
     batch_grad,
     batch_value,
     check_domain,
-    check_params,
-    default_lipschitz,
+    check_loss,
     loss_value,  # not called here; perfbench/spans.py rebinds core.loss_value to count calls
     make_loss,
     robust_scale,
@@ -120,7 +118,7 @@ class PreparedProblem:
     S: np.ndarray | None
 
 
-@dataclass
+@dataclass(eq=False)
 class IterState:
     """Loop variables of the outer iteration, kept for diagnostics.
 
@@ -130,12 +128,12 @@ class IterState:
     ``Theta`` and ``Xi`` are the fit's own n x m arrays, ``None`` on a path's unselected fits.
     An all-quadratic fit builds both on the first read of either, from the
     prepared Y and M and the returned W (so modify neither before reading
-    them); assigning either first releases both unbuilt.  ``repr`` and
-    ``==`` leave them out.
+    them); assigning either first releases both unbuilt.  ``repr`` leaves
+    them out, and ``==`` is identity.
     """
 
-    Theta: np.ndarray | None = field(repr=False, compare=False)
-    Xi: np.ndarray | None = field(repr=False, compare=False)
+    Theta: np.ndarray | None = field(repr=False)
+    Xi: np.ndarray | None = field(repr=False)
     S: np.ndarray | None = None
     F_trace: list = field(default_factory=list)
     k: int = 0
@@ -356,17 +354,8 @@ def _prepare(problem) -> PreparedProblem:
     for k, loss in enumerate(losses):
         try:
             check_domain(loss.kind, Y[:, k])
-            # count losses are resolved from the data below; the unit step trusts a stored bound (not a NaN),
-            # and the tolerance admits a rescaled bound of 1.0 that recomputes an ulp above it
-            if loss.kind != "poisson_reparam":
-                check_params(loss.kind, loss.params)
-                _check_scale(loss.scale_factor)
-                bound = loss.scale_factor * default_lipschitz(loss.kind, loss.params)
-                if not loss.lipschitz >= (1.0 - 1e-12) * bound:
-                    raise ValueError(f"{loss.kind} loss states gradient-Lipschitz bound "
-                                     f"{loss.lipschitz:g} below its certified {bound:g}; build it with make_loss")
-                if loss.lipschitz == np.inf:  # scaling down by it would drop the column from the fit
-                    raise ValueError(f"{loss.kind} loss states an infinite gradient-Lipschitz bound")
+            if loss.kind != "poisson_reparam":  # count losses are resolved from the data below
+                check_loss(loss)
         except ValueError as exc:
             raise ValueError(f"column {k}: {exc}") from None
     with np.errstate(over="ignore"):

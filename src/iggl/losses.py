@@ -5,12 +5,13 @@ Every observed variable carries its own discrepancy measure: a deviance
 (Huber, Tukey's bisquare, Hampel's three-part), a margin loss for +/-1
 labels (huberized hinge, Lorenz), or the count loss obtained by eliminating
 the intercept of a Poisson column.  A loss is an immutable
-:class:`ColumnLoss` holding its tuning parameters, a finite positive
-multiplier ``scale_factor`` applied to the raw loss, and ``lipschitz``, a
-certified upper bound on the Lipschitz constant of the scaled gradient.  The
+:class:`ColumnLoss` holding its tuning parameters and a finite positive
+multiplier ``scale_factor`` applied to the raw loss; its ``lipschitz``, a
+certified upper bound on the Lipschitz constant of the scaled gradient, is
+computed, not stated: ``scale_factor`` times the kind's raw bound.  The
 fixed-unit-step outer solver needs ``lipschitz <= 1``, which
-:func:`scale_to_unit_lipschitz` enforces by dividing a bound above one down
-to one; a column is reweighted only through ``make_loss(kind, scale_factor=...)``.
+:func:`scale_to_unit_lipschitz` enforces by giving a loss whose bound is
+above one the scale one over its raw bound.
 
 Each loss kind is one row of the private table ``_KINDS``: its value and
 gradient kernels, parameter names, raw gradient-Lipschitz bound as a
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -62,38 +64,44 @@ class ColumnLoss:
         Treated as immutable after construction.
     scale_factor : float
         Multiplier applied to the raw loss and its gradient: a finite
-        positive number, which :func:`make_loss` and ``fit`` check.
+        positive number, which :func:`check_loss` checks.
     lipschitz : float
-        Certified bound on the Lipschitz constant of the scaled gradient.
-        ``fit`` relies on it and rejects an infinite bound or one below
-        ``scale_factor * default_lipschitz(kind, params)``, which the default
-        1.0 is for lorenz and huberized_hinge with c < 1: build losses with
-        :func:`make_loss`.
+        Certified bound on the Lipschitz constant of the scaled gradient,
+        computed (not settable): ``scale_factor * default_lipschitz(kind, params)``.
         ``fit`` resolves every field of a ``poisson_reparam`` placeholder.
     """
 
     kind: str
     params: dict
     scale_factor: float = 1.0
-    lipschitz: float = 1.0
+
+    @cached_property  # _prepare reads it for every column of every fit
+    def lipschitz(self) -> float:
+        return self.scale_factor * default_lipschitz(self.kind, self.params)
 
 
 def make_loss(kind, scale_factor=1.0, **params) -> ColumnLoss:
-    """Build a validated :class:`ColumnLoss` with its certified bound.
+    """Build a :class:`ColumnLoss` checked by :func:`check_loss`.
 
     Parameters omitted for ``huberized_hinge`` default to ``c=1``; a
-    parameter the kind does not take is rejected.  The ``lipschitz`` field
-    is ``scale_factor`` times the raw-gradient bound of
-    :func:`default_lipschitz`, and must be finite.
+    parameter the kind does not take is rejected.
     """
     if kind == "huberized_hinge":
         params.setdefault("c", 1.0)
-    check_params(kind, params)
-    _check_scale(scale_factor)
-    lips = scale_factor * default_lipschitz(kind, params)
-    if not lips <= _FLOAT_MAX:  # scaling down by an infinite bound would drop the column from the fit
-        raise ValueError(f"{kind}: gradient-Lipschitz bound overflows (scale_factor {scale_factor:g}, params {params})")
-    return ColumnLoss(kind=kind, params=params, scale_factor=scale_factor, lipschitz=lips)
+    loss = ColumnLoss(kind, params, scale_factor)
+    check_loss(loss)
+    return loss
+
+
+def check_loss(loss):
+    """The one loss check, by :func:`make_loss` and ``fit``: valid parameters, finite positive scale, finite bound."""
+    check_params(loss.kind, loss.params)
+    if not 0 < loss.scale_factor <= _FLOAT_MAX:
+        raise ValueError("scale_factor must be positive" if loss.scale_factor <= 0 else
+                         f"scale_factor must be finite, got {loss.scale_factor!r}")
+    if not loss.lipschitz <= _FLOAT_MAX:  # scaling down by an infinite bound would drop the column from the fit
+        raise ValueError(f"{loss.kind}: gradient-Lipschitz bound overflows "
+                         f"(scale_factor {loss.scale_factor:g}, params {loss.params})")
 
 
 def check_params(kind, params):
@@ -119,13 +127,6 @@ def default_lipschitz(kind, params=None) -> float:
     Without ``params``, huberized_hinge takes its default c = 1.
     """
     return _KINDS[kind].bound(params or {})
-
-
-def _check_scale(scale_factor):
-    """Raise ``ValueError`` unless ``scale_factor`` is a finite positive number."""
-    if not 0 < scale_factor <= _FLOAT_MAX:
-        raise ValueError("scale_factor must be positive" if scale_factor <= 0 else
-                         f"scale_factor must be finite, got {scale_factor!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -348,16 +349,17 @@ def _block_op(op, losses, theta, y, **buffers):
 def scale_to_unit_lipschitz(loss: ColumnLoss) -> ColumnLoss:
     """Rescale so the gradient-Lipschitz bound is at most one.
 
-    A loss with ``lipschitz > 1`` is divided by its bound, making the unit
-    step size of the outer solver valid.  Losses already at or below one are
-    returned unchanged (keeping their native units costs some convergence
-    speed but preserves reported loss values).  Idempotent.
+    A loss with ``lipschitz > 1`` is divided by its bound (its scale becomes
+    one over the raw bound), making the unit step size of the outer solver
+    valid.  Losses already at or below one are returned unchanged (keeping
+    their native units costs some convergence speed but preserves reported
+    loss values).  Idempotent.
     """
     return _divide_by_bound(loss) if loss.lipschitz > 1.0 else loss
 
 
 def _divide_by_bound(loss):
-    return replace(loss, scale_factor=loss.scale_factor / loss.lipschitz, lipschitz=1.0)
+    return replace(loss, scale_factor=1.0 / default_lipschitz(loss.kind, loss.params))
 
 
 def robust_scale(residuals) -> float:
@@ -393,7 +395,7 @@ def loss_from_config(kind, params=None, column=None) -> ColumnLoss:
     if kind == "poisson_reparam":
         if params:
             raise ValueError("poisson_reparam takes no config parameters")
-        return ColumnLoss(kind="poisson_reparam", params={}, scale_factor=1.0, lipschitz=1.0)
+        return ColumnLoss("poisson_reparam", {})
     if kind in DEFAULT_TUNING:
         mults = {k: v for k, v in params.items() if k.endswith("_mult")}
         absolutes = {k: v for k, v in params.items() if not k.endswith("_mult")}

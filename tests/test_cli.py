@@ -14,10 +14,11 @@ import pytest
 
 import iggl.cli
 import iggl.core
+import iggl.select
 from iggl import FitProblem, lambda_grid
 from iggl.cli import _PROBLEM_KEYS, _SCHEMA, main, read_csv_matrix, write_dot
 from iggl.losses import check_domain
-from iggl.select import EDGE_EPS
+from iggl.select import EDGE_EPS, degrees_of_freedom
 
 from helpers import check_dot_grammar, count_calls, reference_read_csv_matrix
 
@@ -741,6 +742,24 @@ class TestPath:
         with open(out) as fh:
             doc = json.load(fh)
         assert doc["selection"]["bic"][doc["selection"]["selected_index"]] == min(bics)
+
+    def test_table_df_is_the_df_bic_counted(self, tmp_path, monkeypatch):
+        # the edge threshold picks the result's edges only: each row's df is the one its BIC score used
+        out = tmp_path / "sim"
+        assert main(["simulate", "--pattern", "chain", "--m", "8", "--n", "200", "--family", "gaussian",
+                     "--seed", "1", "--out-dir", str(out)]) == 0
+        cfg = tmp_path / "cfg.json"
+        write(cfg, json.dumps({"losses": "quadratic", "lambda": {"n_points": 6}}))
+        paths = []
+        monkeypatch.setattr(iggl.cli, "fit_path", lambda *a: paths.append(iggl.select.fit_path(*a)) or paths[-1])
+        table = tmp_path / "path.csv"
+        assert main(["path", "--data", str(out / "Y.csv"), "--config", str(cfg), "--edge-threshold", "0.05",
+                     "--table", str(table), "--out", str(tmp_path / "sel.json")]) == 0
+        with open(table, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        Ws = [res.estimate.W for res in paths[0].fits]
+        assert [int(row["df"]) for row in rows] == [degrees_of_freedom(W) for W in Ws]
+        assert any(degrees_of_freedom(W) != degrees_of_freedom(W, 0.05) for W in Ws)
 
     def test_fixed_lambda_input_error_is_not_numerical(self, tmp_path, capsys):
         # preparing the one-point path rejects the zero-variance column

@@ -139,6 +139,21 @@ class TestLipschitzConstants:
         assert default_lipschitz("tukey") == 1.0
 
 
+class TestDerivedBound:
+    @pytest.mark.parametrize("scale", [0.3, 1.0, 7.0])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_hand_built_bound_is_make_loss_bound(self, kind, scale):
+        params = {"count_total": 6.0} if kind == "poisson_reparam" else dict(_loss(kind).params)
+        made = make_loss(kind, scale_factor=scale, **params)
+        assert ColumnLoss(kind, params, scale).lipschitz == made.lipschitz == scale * default_lipschitz(kind, params)
+
+    def test_bound_cannot_be_stated(self):
+        with pytest.raises(TypeError, match="lipschitz"):
+            ColumnLoss("huber", {"c": 1.0}, 1.0, lipschitz=2.0)
+        with pytest.raises(TypeError):
+            ColumnLoss("huber", {"c": 1.0}, 1.0, 2.0)
+
+
 class TestScaling:
     def test_lorenz_halved(self):
         scaled = scale_to_unit_lipschitz(make_loss("lorenz"))
@@ -160,6 +175,15 @@ class TestScaling:
             twice = scale_to_unit_lipschitz(once)
             assert twice.scale_factor == once.scale_factor
             assert twice.lipschitz == once.lipschitz
+
+    def test_unit_scale_is_idempotent_under_the_derived_bound(self):
+        # the unit scale is one over the raw bound, whatever scale it replaces, so a rescaled
+        # loss never recomputes a bound above one and is returned as it is
+        rng = np.random.default_rng(27)
+        for s, c in zip(np.exp(rng.uniform(-5.0, 5.0, 2000)), np.exp(rng.uniform(-5.0, 3.0, 2000))):
+            once = scale_to_unit_lipschitz(make_loss("huberized_hinge", scale_factor=float(s), c=float(c)))
+            assert scale_to_unit_lipschitz(once) is once
+            assert once.lipschitz == once.scale_factor * default_lipschitz(once.kind, once.params) <= 1.0
 
     def test_small_count_total_scaled_up(self):
         # the one loss scaled up: a count column of total 1 has bound 1/2

@@ -261,7 +261,7 @@ class TestFailedPathFits:
         assert np.isfinite(path.bic[:2]).all() and path.bic[2] == np.inf
         assert path.selected_index == int(np.argmin(path.bic[:2])) == 1
         table = tmp_path / "path.csv"
-        write_table(str(table), path, EDGE_EPS)
+        write_table(str(table), path)
         assert table.read_text().splitlines()[-1] == "-0.1,,,,failed"
         doc = fit_result_document(path.fits[1], names, EDGE_EPS, path)
         assert doc["selection"]["bic"][2] is None and doc["selection"]["selected_index"] == 1
