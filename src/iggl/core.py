@@ -40,12 +40,12 @@ into a :class:`PreparedProblem` that a whole penalty path shares.
 ``fit`` is a loop around :func:`outer_step` (the four lines above), the
 stopping test and the polish.  A fit with gradient steps allocates four n x m
 arrays once, Xi, two scratch arrays and Theta, which every step writes in
-place; an all-quadratic fit's loop uses none, and its state builds Xi = Y
-and Theta from the prepared Y and M and the returned W on the first read of
-either, so the caller must not modify Y (or a given M) before reading them,
-and a path builds them for no fit it releases.  Every inner solve starts
-from the previous estimate, reusing its inverse and log det; the first from
-``W_init`` or W0.
+place; an all-quadratic fit's loop uses none, and its :class:`IterState`
+itself builds Xi = Y and Theta from the prepared Y and M and the returned W
+on the first read of either, so the caller must not modify Y (or a given M)
+before reading them, and a path builds them for no fit it releases.  Every
+inner solve starts from the previous estimate, reusing its inverse and log
+det; the first from ``W_init`` or W0.
 
 phi is fixed for the whole run at ``phi_c / ||W0||_2``, the largest entry
 of the diagonal W0.  A warm start and every iterate must keep ``I - phi*W``
@@ -126,10 +126,11 @@ class IterState:
     The lists hold one entry per outer iteration: the objective, and the
     inner solve's iteration count, KKT tolerance and final KKT residual.
     ``Theta`` and ``Xi`` are the fit's own n x m arrays, ``None`` on a path's unselected fits.
-    An all-quadratic fit builds both on the first read of either, from the
-    prepared Y and M and the returned W (so modify neither before reading
-    them); assigning either first releases both unbuilt.  ``repr`` leaves
-    them out, and ``==`` is identity.
+    An all-quadratic fit leaves both unset and keeps the prepared Y and M,
+    the returned W and phi as ``_blend_args``; the first read of either
+    builds both from them (so modify neither Y nor M before reading them),
+    and assigning either first releases both unbuilt.  ``repr`` leaves them
+    out, and ``==`` is identity.
     """
 
     Theta: np.ndarray | None = field(repr=False)
@@ -141,27 +142,20 @@ class IterState:
     inner_tols: list = field(default_factory=list)
     inner_kkt: list = field(default_factory=list)
 
-
-class _UnreadState(IterState):
-    """An all-quadratic fit's state, a plain IterState again once its Theta or Xi is read or assigned."""
-
-    def __getattr__(self, name):  # reached only for unset attributes: Theta and Xi, built from _blend_args
-        if name not in ("Theta", "Xi"):
+    def __getattr__(self, name):  # reached only for unset attributes: an all-quadratic fit's unbuilt Theta and Xi
+        if name not in ("Theta", "Xi") or "_blend_args" not in self.__dict__:
             raise AttributeError(f"'IterState' object has no attribute '{name}'")
         Y, M, W, phi = self.__dict__.pop("_blend_args")
-        self.__class__ = IterState
         self.Xi, self.Theta = Y.copy(), _blend(Y, Y - M, W, phi)
         return self.__dict__[name]
 
     def __setattr__(self, name, value):
-        if name in ("Theta", "Xi"):
-            del self.__dict__["_blend_args"]
-            self.__class__ = IterState
+        if name in ("Theta", "Xi") and self.__dict__.pop("_blend_args", None) is not None:
             self.Theta = self.Xi = None
         object.__setattr__(self, name, value)
 
 
-@dataclass
+@dataclass(eq=False)
 class FitResult:
     """Fitted precision estimate plus everything needed downstream."""
 
@@ -407,7 +401,7 @@ def first_iteration_s(problem) -> np.ndarray:
     p = _prepare(problem)
     if p.S is not None:
         return p.S.copy()
-    Theta0 = p.Y + p.phi * ((p.M - p.Y) @ p.W0)
+    Theta0 = _blend(p.Y, p.Y - p.M, p.W0, p.phi)  # W0 is diagonal and feasible
     return cross_product(xi_update(Theta0, p.Y, p.losses), p.M)
 
 
@@ -451,9 +445,9 @@ def fit(problem, W_init=None) -> FitResult:
     criterion).  Runs one :func:`outer_step` per iteration until the relative
     change of the objective trace drops below ``outer_tol`` or ``max_outer``
     is reached, then polishes a last inner solve looser than ``inner_tol``.
-    An all-quadratic fit's Xi and Theta are built on the first read of
-    either (:class:`IterState`), from the prepared Y, so do not modify Y
-    before reading them.
+    Every fit returns a plain :class:`IterState`; an all-quadratic fit's Xi
+    and Theta are built on the first read of either, from the prepared Y and
+    M, so do not modify Y (or a given M) before reading them.
     """
     prepared = _prepare(problem)
     problem, Y, M, phi = prepared.problem, prepared.Y, prepared.M, prepared.phi
@@ -493,7 +487,7 @@ def fit(problem, W_init=None) -> FitResult:
         state.inner_kkt[-1] = est.kkt_residual
     if prepared.S is not None:  # Xi = Y and Theta = the blend through the returned W, built on first read
         del state.Theta, state.Xi
-        state._blend_args, state.__class__ = (Y, M, est.W, phi), _UnreadState
+        state._blend_args = (Y, M, est.W, phi)
 
     return FitResult(estimate=est, state=state, phi=phi, lam=float(problem.lam),
                      converged=outer_converged and est.converged, intercepts=prepared.intercepts, M=M,

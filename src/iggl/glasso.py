@@ -38,7 +38,7 @@ _DECREASE_SLACK = 1e-13
 _ARMIJO, _CG_RTOL, _CG_MAX_ITER = 1e-4, 0.1, 50
 
 
-@dataclass
+@dataclass(eq=False)
 class GGLInstance:
     """One inner problem: cross-product matrix, penalty, solver options."""
 
@@ -49,7 +49,7 @@ class GGLInstance:
     max_iter: int = 500
 
 
-@dataclass
+@dataclass(eq=False)
 class PrecisionEstimate:
     """Solver output: the precision matrix plus convergence diagnostics."""
 

@@ -104,11 +104,18 @@ def check_loss(loss):
                          f"(scale_factor {loss.scale_factor:g}, params {loss.params})")
 
 
+def _check_numbers(kind, params):
+    for name, value in params.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not abs(value) <= _FLOAT_MAX:
+            raise ValueError(f"{kind}: parameter {name!r} must be a finite number, got {value!r}")
+
+
 def check_params(kind, params):
-    """Raise ``ValueError`` unless ``params`` are exactly valid parameters of ``kind``."""
+    """Raise ``ValueError`` unless ``params`` are exactly valid parameters of ``kind``, each a finite number."""
     unknown = set(params) - set(_KINDS[kind].params)
     if unknown:
         raise ValueError(f"{kind}: unknown parameters {sorted(unknown)}")
+    _check_numbers(kind, params)
     if kind in ("huber", "tukey", "huberized_hinge"):
         if params.get("c", 0.0) <= 0:
             raise ValueError(f"{kind} requires a positive cutoff c")
@@ -384,14 +391,12 @@ def loss_from_config(kind, params=None, column=None) -> ColumnLoss:
     hampel) or multiples of the robust scale (``c_mult`` etc.), in which
     case the column data must be supplied so the MAD scale can be computed.
     ``poisson_reparam`` assignments are returned as placeholders; the count
-    total is filled in by the fit-time preprocessing.  Every parameter value
-    must be a finite real number (not a boolean); a parameter name the kind
-    does not take is rejected by :func:`make_loss`.
+    total is filled in by the fit-time preprocessing.  Every parameter value,
+    ``*_mult`` ones too, must be a finite real number (not a boolean); a
+    parameter name the kind does not take is rejected by :func:`make_loss`.
     """
     params = dict(params or {})
-    for name, value in params.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not abs(value) <= _FLOAT_MAX:
-            raise ValueError(f"{kind}: parameter {name!r} must be a finite number, got {value!r}")
+    _check_numbers(kind, params)
     if kind == "poisson_reparam":
         if params:
             raise ValueError("poisson_reparam takes no config parameters")

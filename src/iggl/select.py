@@ -13,7 +13,7 @@ from .glasso import log_det_pd
 EDGE_EPS = 1e-8
 
 
-@dataclass
+@dataclass(eq=False)
 class PathResult:
     """Per-penalty fits with their BIC scores and the selected index, the one fit that keeps Theta and Xi.
 

@@ -1,6 +1,10 @@
 import copy
+import dataclasses
+import importlib
 import importlib.util
 import os
+import pickle
+import pkgutil
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -701,6 +705,15 @@ class TestFit:
         with pytest.raises(ValueError, match=f"^column 2: {message}$"):
             fit(FitProblem(Y=Y, losses=(make_loss("huber", c=1.0),) * 2 + (bad,), lam=0.1))
 
+    @pytest.mark.parametrize("kind, c", [("tukey", float("inf")), ("tukey", float("nan")), ("huber", float("nan"))])
+    def test_hand_built_non_finite_parameter_named(self, kind, c):
+        # an infinite Tukey cutoff used to run 200 steps on a NaN objective, a NaN one to run silently (Tukey)
+        # or to fail later on S (Huber)
+        Y = np.random.default_rng(5).standard_normal((50, 3))
+        bad = ColumnLoss(kind, {"c": c})
+        with pytest.raises(ValueError, match=f"^column 0: {kind}: parameter 'c' must be a finite number, got {c}$"):
+            fit(FitProblem(Y=Y, losses=(bad,) * 3, lam=0.1))
+
     @pytest.mark.parametrize("entry", [fit, first_iteration_s], ids=["fit", "first_iteration_s"])
     def test_infinite_bound_rejected(self, entry):
         # dividing the scale by an infinite bound would give the column scale 0.0: the fit would run without it
@@ -1038,6 +1051,24 @@ class TestThetaXiOnFirstRead:
         assert np.array_equal(path.fits[path.selected_index].state.Xi, Y)
         assert blends == {"_blend": 1, "theta_update": 0}
 
+    @pytest.mark.parametrize("case", ["intercepts", "M-given"])
+    @pytest.mark.parametrize("how", ["deepcopy", "pickle", "replace"])
+    def test_copies_of_an_unread_state_read_the_reference_arrays(self, monkeypatch, case, how):
+        prob = quadratic_case(case)
+        ref = reference_fit(prob)
+        blends = count_calls(monkeypatch, iggl.core, "_blend")
+        res = fit(prob)
+        copy_of = {"deepcopy": copy.deepcopy, "pickle": lambda st: pickle.loads(pickle.dumps(st)), "replace": replace}
+        copied = copy_of[how](res.state)
+        assert type(copied) is IterState and blends["_blend"] == (how == "replace")  # replace reads every field
+        assert_fit_equals_reference(replace(res, state=copied), ref)
+        assert copied.Theta is copied.Theta and blends["_blend"] == 1
+        assert_fit_equals_reference(res, ref)
+        if how == "replace":  # the copy holds the arrays the original built
+            assert copied.Theta is res.state.Theta and copied.Xi is res.state.Xi and blends["_blend"] == 1
+        else:  # each of the two builds its own
+            assert not np.shares_memory(copied.Theta, res.state.Theta) and blends["_blend"] == 2
+
     @pytest.mark.parametrize("case", ["intercepts", "polished"])
     @pytest.mark.parametrize("read", [False, True], ids=["unread", "read"])
     def test_feasibility_checked_once_per_w(self, monkeypatch, case, read):
@@ -1220,3 +1251,30 @@ class TestTracedLayers:
         assert count["losses.value"] == binary_solves
         assert count["core.theta_update"] == binary_solves + 1  # + the Bernoulli fit's Theta_0
         assert count["losses.grad"] == res.state.k  # the polish and the Gaussian fits take no gradient step
+
+
+class TestResultTypes:
+    """The package's dataclasses that hold arrays compare by identity."""
+
+    def test_every_dataclass_with_an_array_field_compares_by_identity(self):
+        # the dataclass default == compares the fields in a tuple, which raises on two distinct arrays
+        found = set()
+        for info in pkgutil.iter_modules(iggl.__path__):
+            module = importlib.import_module(f"iggl.{info.name}")
+            for cls in vars(module).values():
+                if (isinstance(cls, type) and dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__
+                        and any("ndarray" in str(f.type) for f in dataclasses.fields(cls))):
+                    found.add(cls.__name__)
+                    assert cls.__eq__ is object.__eq__, cls.__name__
+        assert found >= {"FitProblem", "PreparedProblem", "IterState", "FitResult", "GGLInstance",
+                         "PrecisionEstimate", "PathResult"}
+
+    def test_distinct_results_are_unequal_without_raising(self):
+        Y = synth_data("quadratic", 4, 60, seed=73)
+        prob = FitProblem(Y=Y, losses=quad_map(4), lam=0.0)
+        lambdas = lambda_grid(first_iteration_s(prob), n_points=3)
+        a, b = iggl.fit_path(prob, lambdas), iggl.fit_path(prob, lambdas)
+        pairs = [(a, b), (a.fits[0], b.fits[0]), (a.fits[0].estimate, b.fits[0].estimate),
+                 (GGLInstance(a.fits[0].state.S, 0.1), GGLInstance(a.fits[0].state.S.copy(), 0.1))]
+        for x, y in pairs:
+            assert x == x and x != y and not x == y

@@ -466,11 +466,25 @@ class TestConfigResolution:
         (lambda: check_domain("poisson_reparam", np.zeros(3)), "count column sums to zero"),
         (lambda: loss_from_config("poisson_reparam", {"c": 1.0}), "poisson_reparam takes no config parameters"),
         (lambda: loss_from_config("huber", {"c_mult": 2.0}), "huber: scale-relative cutoffs need column data"),
+        (lambda: make_loss("tukey", c=float("inf")), "tukey: parameter 'c' must be a finite number, got inf"),
+        (lambda: make_loss("tukey", c=float("nan")), "tukey: parameter 'c' must be a finite number, got nan"),
+        (lambda: make_loss("huber", c=True), "huber: parameter 'c' must be a finite number, got True"),
+        (lambda: make_loss("hampel", a=1.0, b=2.0, c=float("inf")),
+         "hampel: parameter 'c' must be a finite number, got inf"),
+        (lambda: make_loss("huberized_hinge", c=float("nan")),
+         "huberized_hinge: parameter 'c' must be a finite number, got nan"),
+        (lambda: make_loss("poisson_reparam", count_total=float("nan")),
+         "poisson_reparam: parameter 'count_total' must be a finite number, got nan"),
+        (lambda: check_params("tukey", {"c": "4.685"}), "tukey: parameter 'c' must be a finite number, got '4.685'"),
+        (lambda: loss_from_config("huber", {"c_mult": 1e300}, column=np.array([0.0, 1e10, 2e10])),
+         "huber: parameter 'c' must be a finite number, got inf"),
     ], ids=["zero-scale", "negative-scale", "nan-scale", "infinite-scale", "zero-count-total",
             "overflowing-scaled-bound", "overflowing-raw-bound",
             "lipschitz-of-unknown-kind", "domain-of-unknown-kind", "params-of-unknown-kind", "unknown-kind",
             "bernoulli-labels", "hinge-labels", "lorenz-labels", "fractional-count", "negative-count",
-            "zero-count-column", "count-config-parameters", "mult-without-column"])
+            "zero-count-column", "count-config-parameters", "mult-without-column",
+            "infinite-tukey-cutoff", "nan-tukey-cutoff", "boolean-cutoff", "infinite-hampel-cutoff",
+            "nan-hinge-cutoff", "nan-count-total", "string-cutoff", "overflowing-mult-cutoff"])
     def test_rejected_arguments_named(self, call, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()
