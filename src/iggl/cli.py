@@ -342,15 +342,15 @@ def fit_result_document(result, names, eps, path=None):
         "inner_kkt": [float(v) for v in result.state.inner_kkt],
         "kkt_residual": float(result.estimate.kkt_residual),
         "objective_trace": [float(v) for v in result.state.F_trace],
-        "intercepts": None if result.intercepts is None else [float(v) for v in result.intercepts],
+        "intercepts": None if result.intercepts is None else result.intercepts.tolist(),
         "losses": [_loss_public(l) for l in result.losses],
         "edge_threshold": float(eps),
         "edges": edge_list(W, names, eps),
-        "W": [[float(v) for v in row] for row in W],
+        "W": W.tolist(),
     }
     if path is not None:
         doc["selection"] = {
-            "lambdas": [float(v) for v in path.lambdas],
+            "lambdas": path.lambdas.tolist(),
             "bic": [None if not np.isfinite(b) else float(b) for b in path.bic],
             "selected_index": int(path.selected_index),
         }
@@ -493,7 +493,7 @@ def cmd_simulate(args) -> int:
             writer.writerow([str(int(v)) if integral else repr(float(v)) for v in row])
 
     _dump_json(
-        {"format": 1, "kind": "precision", "nodes": names, "W": [[float(v) for v in row] for row in W_star]},
+        {"format": 1, "kind": "precision", "nodes": names, "W": W_star.tolist()},
         os.path.join(args.out_dir, "Wtrue.json"),
     )
     _dump_json(

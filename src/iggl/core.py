@@ -57,8 +57,9 @@ last of them without factoring it again.
 
 from __future__ import annotations
 
+import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -331,10 +332,14 @@ def _prepare(problem) -> PreparedProblem:
     n, m = Y.shape
     if n < 2 or m < 2:
         raise ValueError("need at least 2 rows and 2 columns")
-    if problem.max_outer < 1:
-        raise ValueError("max_outer must be at least 1")
-    if problem.inner_max_iter < 1:
-        raise ValueError("inner_max_iter must be at least 1")
+    for name in ("max_outer", "inner_max_iter"):  # counts for range(): a float or a boolean is refused
+        count = getattr(problem, name)
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {count!r}")
+        if count < 1:
+            raise ValueError(f"{name} must be at least 1")
+    if not isinstance(problem.penalize_diagonal, (bool, np.bool_)):  # "no" would be truthy
+        raise ValueError(f"penalize_diagonal must be a boolean, got {problem.penalize_diagonal!r}")
     if not 0.0 <= problem.outer_tol < np.inf:  # 0 runs to max_outer
         raise ValueError("outer_tol must be finite and nonnegative")
     if not 0.0 < problem.inner_tol < np.inf:
@@ -348,8 +353,9 @@ def _prepare(problem) -> PreparedProblem:
     for k, loss in enumerate(losses):
         try:
             check_domain(loss.kind, Y[:, k])
-            if loss.kind != "poisson_reparam":  # count losses are resolved from the data below
-                check_loss(loss)
+            if loss.kind == "poisson_reparam":  # checked, then replaced by the data's count loss below; {} stands in
+                loss = replace(loss, params={"count_total": 1.0, **loss.params})
+            check_loss(loss)
         except ValueError as exc:
             raise ValueError(f"column {k}: {exc}") from None
     with np.errstate(over="ignore"):

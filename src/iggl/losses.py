@@ -423,12 +423,11 @@ def batch_value(losses, Theta, Y, out=None, work=None) -> float:
     One kernel call per loss kind.  Unlike :func:`loss_value` this does not
     check that each column of ``Y`` lies in its kind's domain: ``fit``
     checks every column once before its loop.  ``out`` and ``work`` (Theta's
-    shape) are scratch for the values of a single in-place kind.
+    shape) are scratch for the values of an in-place kind spanning every column.
     """
-    Theta, Y, groups = _check_batch(losses, Theta, Y)
-    if len(groups) == 1:
-        return float(np.sum(_block_op(_VALUE, losses, Theta, Y, out=out, work=work)))
-    return float(sum(np.sum(_block_op(_VALUE, group, Theta[:, cols], Y[:, cols])) for cols, group in groups))
+    Theta, Y, groups = _check_batch(losses, Theta, Y, out=out, work=work)
+    return float(sum(np.sum(_block_op(_VALUE, group, Theta[:, cols], Y[:, cols], **buffers))
+                     for cols, group, buffers in groups))
 
 
 def batch_grad(losses, Theta, Y, out=None) -> np.ndarray:
@@ -436,19 +435,17 @@ def batch_grad(losses, Theta, Y, out=None) -> np.ndarray:
 
     Entrywise per column; column-wise for ``poisson_reparam`` columns.  One
     kernel call per loss kind, on data assumed in-domain as for
-    :func:`batch_value`.  Written into ``out`` when given (not ``Theta``).
+    :func:`batch_value`.  Written into ``out`` when given (not ``Theta``), else into a fresh array.
     """
-    Theta, Y, groups = _check_batch(losses, Theta, Y)
-    if len(groups) == 1 and (out is None or _KINDS[losses[0].kind].in_place):
-        return _block_op(_GRAD, losses, Theta, Y, out=out)
-    G = np.empty_like(Theta) if out is None else out
-    for cols, group in groups:
-        G[:, cols] = _block_op(_GRAD, group, Theta[:, cols], Y[:, cols])
+    G = np.empty_like(Theta, dtype=float) if out is None else out
+    Theta, Y, groups = _check_batch(losses, Theta, Y, out=G)
+    for cols, group, buffers in groups:
+        G[:, cols] = _block_op(_GRAD, group, Theta[:, cols], Y[:, cols], **buffers)
     return G
 
 
-def _check_batch(losses, Theta, Y):
-    """Theta and Y as arrays, and (column indices, losses) of each loss kind."""
+def _check_batch(losses, Theta, Y, **buffers):
+    """Theta and Y as arrays, and (columns, losses, buffers) of each loss kind; a mixed problem's get no buffers."""
     Theta = np.asarray(Theta, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if Theta.shape != Y.shape or Theta.ndim != 2:
@@ -458,4 +455,6 @@ def _check_batch(losses, Theta, Y):
     groups = {}
     for k, loss in enumerate(losses):
         groups.setdefault(loss.kind, []).append(k)
-    return Theta, Y, [(cols, [losses[k] for k in cols]) for cols in groups.values()]
+    if len(groups) == 1:  # the kind's blocks are Theta and Y themselves, which the caller's buffers fit
+        return Theta, Y, [(slice(None), losses, buffers)]
+    return Theta, Y, [(cols, [losses[k] for k in cols], {}) for cols in groups.values()]

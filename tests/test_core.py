@@ -564,11 +564,27 @@ class TestFit:
         ({"max_outer": 0}, r"^max_outer must be at least 1$"),
         ({"losses": quad_map(2)}, r"^expected 3 losses, got 2$"),
         ({"M": np.zeros((20, 2))}, r"^M must match Y's shape$"),
-    ], ids=["1-d", "one-row", "one-column", "no-outer-step", "too-few-losses", "M-shape"])
+        # a float count used to raise TypeError from range(), which fit_path does not catch
+        ({"max_outer": 2.5}, r"^max_outer must be an integer, got 2\.5$"),
+        ({"max_outer": float("inf")}, r"^max_outer must be an integer, got inf$"),
+        ({"max_outer": True}, r"^max_outer must be an integer, got True$"),
+        ({"inner_max_iter": 2.5}, r"^inner_max_iter must be an integer, got 2\.5$"),
+        ({"inner_max_iter": float("nan")}, r"^inner_max_iter must be an integer, got nan$"),
+        # a truthy string used to penalize the diagonal
+        ({"penalize_diagonal": "no"}, r"^penalize_diagonal must be a boolean, got 'no'$"),
+    ], ids=["1-d", "one-row", "one-column", "no-outer-step", "too-few-losses", "M-shape", "fractional-outer",
+            "infinite-outer", "boolean-outer", "fractional-inner", "nan-inner", "string-penalize-diagonal"])
     def test_malformed_problem_rejected(self, change, message):
         prob = replace(FitProblem(Y=synth_data("quadratic", 3, 20, seed=5), losses=quad_map(3), lam=0.1), **change)
         with pytest.raises(ValueError, match=message):
             fit(prob)
+
+    def test_numpy_integer_and_boolean_options_accepted(self):
+        prob = FitProblem(Y=synth_data("huber", 3, 40, seed=5), losses=(make_loss("huber", c=1.0),) * 3, lam=0.1,
+                          max_outer=7, inner_max_iter=50, penalize_diagonal=True)
+        plain = fit(prob)
+        numpy = fit(replace(prob, max_outer=np.int64(7), inner_max_iter=np.int32(50), penalize_diagonal=np.True_))
+        assert np.array_equal(plain.estimate.W, numpy.estimate.W) and plain.state.F_trace == numpy.state.F_trace
 
     @pytest.mark.parametrize("scale, column", [((1e200,) * 3, 0), ((1e200, 1.0, 1.0), 0), ((1.0, 1.0, 1e155), 2)],
                              ids=["every-column", "first-column", "just-past-the-float-range"])
@@ -696,6 +712,35 @@ class TestFit:
         Y = synth_data("quadratic", 2, 20, seed=4)
         with pytest.raises(ValueError, match=f"^column 1: {message}"):
             fit(FitProblem(Y=Y, losses=(make_loss("quadratic"), bad), lam=0.1))
+
+    @staticmethod
+    def counts():
+        return np.random.default_rng(3).poisson(3.0, (50, 3)).astype(float)
+
+    @pytest.mark.parametrize("bad, message", [
+        (ColumnLoss("poisson_reparam", {"bogus": 1.0}), r"poisson_reparam: unknown parameters \['bogus'\]"),
+        (ColumnLoss("poisson_reparam", {"count_total": float("nan")}),
+         "poisson_reparam: parameter 'count_total' must be a finite number, got nan"),
+        (ColumnLoss("poisson_reparam", {"count_total": -5.0}), "poisson_reparam requires a positive count_total"),
+        (ColumnLoss("poisson_reparam", {"count_total": "x"}),
+         "poisson_reparam: parameter 'count_total' must be a finite number, got 'x'"),
+        (ColumnLoss("poisson_reparam", {}, -1.0), "scale_factor must be positive"),
+        (ColumnLoss("poisson_reparam", {}, float("nan")), "scale_factor must be finite, got nan"),
+    ], ids=["unknown-parameter", "nan-total", "negative-total", "string-total", "negative-scale", "nan-scale"])
+    def test_hand_built_count_loss_checked(self, bad, message):
+        # each of these used to be dropped without a word for the data's own count loss
+        with pytest.raises(ValueError, match=f"^column 2: {message}$"):
+            fit(FitProblem(Y=self.counts(), losses=(ColumnLoss("poisson_reparam", {}),) * 2 + (bad,), lam=0.1))
+
+    def test_valid_count_losses_replaced_by_the_data(self):
+        # the placeholder, a result's own count losses and any valid total and scale all fit as the data's count loss
+        prob = FitProblem(Y=self.counts(), losses=(ColumnLoss("poisson_reparam", {}),) * 3, lam=0.1)
+        base = fit(prob)
+        assert [l.params["count_total"] for l in base.losses] == list(prob.Y.sum(axis=0))
+        for given in (base.losses, (make_loss("poisson_reparam", scale_factor=0.5, count_total=7.0),) * 3):
+            res = fit(replace(prob, losses=given))
+            assert np.array_equal(res.estimate.W, base.estimate.W) and res.state.F_trace == base.state.F_trace
+            assert [(l.params, l.scale_factor) for l in res.losses] == [(l.params, l.scale_factor) for l in base.losses]
 
     @pytest.mark.parametrize("scale, message", [
         (-1.0, "scale_factor must be positive"),

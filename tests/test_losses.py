@@ -16,7 +16,7 @@ from iggl import (
     robust_scale,
     scale_to_unit_lipschitz,
 )
-from iggl.losses import LOSS_KINDS, _VALUE, _scaled_kernel, check_domain, check_params
+from iggl.losses import _KINDS, LOSS_KINDS, _VALUE, _scaled_kernel, check_domain, check_params
 
 from helpers import ALL_KINDS
 
@@ -388,6 +388,51 @@ class TestReadOnlyInputs:
                 if loss.kind != "poisson_reparam":
                     _scaled_kernel(_VALUE, loss, T[:, k], Yb[:, k])
             assert np.array_equal(T, T0) and np.array_equal(Yb, Y0)
+
+
+class TestKindBlocks:
+    """What each kind's kernel is handed: a kind spanning every column runs on Theta and Y themselves."""
+
+    @staticmethod
+    def record(monkeypatch, kind):
+        """(theta, y, buffers) of every call of ``kind``'s kernels from now on."""
+        calls = []
+        row = _KINDS[kind]
+
+        def recording(kernel):
+            def call(theta, y, *params, **buffers):
+                calls.append((theta, y, buffers))
+                return kernel(theta, y, *params, **buffers)
+            return call
+
+        monkeypatch.setitem(_KINDS, kind, row._replace(value=recording(row.value), grad=recording(row.grad)))
+        return calls
+
+    @pytest.mark.parametrize("kind", ["huber", "bernoulli"])
+    def test_single_kind_gets_the_arrays_and_the_buffers(self, monkeypatch, kind):
+        (group, Theta, Y), = [b for b in _blocks(*_all_kinds_instance())[1:] if b[0][0].kind == kind]
+        calls = self.record(monkeypatch, kind)
+        out, work = np.empty(Theta.shape), np.empty(Theta.shape)
+        batch_grad(group, Theta, Y, out=out)
+        batch_value(group, Theta, Y, out=out, work=work)
+        assert len(calls) == 2
+        for (theta, y, buffers), given in zip(calls, ({"out": out}, {"out": out, "work": work})):
+            assert np.shares_memory(theta, Theta) and np.shares_memory(y, Y)
+            expect = given if _KINDS[kind].in_place else {}  # a kernel that allocates gets no buffers
+            assert buffers.keys() == expect.keys() and all(buffers[name] is expect[name] for name in expect)
+
+    @pytest.mark.parametrize("kind", ["huber", "bernoulli"])
+    def test_mixed_kinds_get_index_copies(self, monkeypatch, kind):
+        losses, Theta, Y = _all_kinds_instance()
+        cols = [k for k, loss in enumerate(losses) if loss.kind == kind]
+        calls = self.record(monkeypatch, kind)
+        out, work = np.empty(Theta.shape), np.empty(Theta.shape)
+        batch_grad(losses, Theta, Y, out=out)
+        batch_value(losses, Theta, Y, out=out, work=work)
+        assert len(calls) == 2
+        for theta, y, buffers in calls:
+            assert not np.shares_memory(theta, Theta) and not np.shares_memory(y, Y) and buffers == {}
+            assert np.array_equal(theta, Theta[:, cols]) and np.array_equal(y, Y[:, cols])
 
 
 class TestPoissonColumnLoss:
