@@ -353,7 +353,7 @@ def _prepare(problem) -> PreparedProblem:
     for k, loss in enumerate(losses):
         try:
             check_domain(loss.kind, Y[:, k])
-            if loss.kind == "poisson_reparam":  # checked, then replaced by the data's count loss below; {} stands in
+            if loss.kind == "poisson_reparam":  # the placeholder {} passes; the data's loss replaces it below
                 loss = replace(loss, params={"count_total": 1.0, **loss.params})
             check_loss(loss)
         except ValueError as exc:

@@ -445,7 +445,7 @@ def batch_grad(losses, Theta, Y, out=None) -> np.ndarray:
 
 
 def _check_batch(losses, Theta, Y, **buffers):
-    """Theta and Y as arrays, and (columns, losses, buffers) of each loss kind; a mixed problem's get no buffers."""
+    """Theta and Y as arrays, and (columns, losses, buffers) of each loss kind; a mixed problem's kinds get none."""
     Theta = np.asarray(Theta, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if Theta.shape != Y.shape or Theta.ndim != 2:
