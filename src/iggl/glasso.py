@@ -12,12 +12,13 @@ entries that are nonzero or whose gradient ``S - W^{-1}`` exceeds their
 penalty (QUIC, Hsieh et al. 2014; Oztoprak et al. 2012).  Conjugate
 gradients solve ``W^{-1} D W^{-1} = -g`` there, g the minimal-norm
 subgradient, preconditioned by ``r -> W r W``, the exact inverse of the
-Hessian of -log det W.  The step ``W + alpha D``, projected onto the
-orthant of sign(W) (of -sign(g) where W = 0), is halved from alpha = 1
-until it is positive definite (one Cholesky factorization per trial) and
-passes an Armijo test.  This keeps the objective monotone, keeps every iterate
-strictly positive definite, and produces exact zeros.  At lambda = 0 the loop
-starts from the exact solution S^{-1}, so it steps only where rounding fell short.
+Hessian of -log det W: four m x m products a step.  Each iteration inverts W
+once (a warm-start estimate brings its inverse).  The step ``W + alpha D``,
+projected onto the orthant of sign(W) (of -sign(g) where W = 0), is halved from
+alpha = 1 until it is positive definite (one Cholesky factorization per trial)
+and passes an Armijo test.  This keeps the objective monotone, keeps every
+iterate strictly positive definite, and produces exact zeros.  At lambda = 0 the
+loop starts from the exact solution S^{-1}, so it steps only where rounding fell short.
 
 Optimality is certified by :func:`kkt_residual`, the max-norm of the
 minimal-norm subgradient of the objective, so any conforming backend can
@@ -26,6 +27,8 @@ be swapped in behind :func:`solve_ggl`.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +39,7 @@ import numpy as np
 _DECREASE_SLACK = 1e-13
 # Armijo fraction; conjugate-gradient relative residual cap and product budget
 _ARMIJO, _CG_RTOL, _CG_MAX_ITER = 1e-4, 0.1, 50
+_STEPS = tuple(0.5**k for k in range(100))  # line-search step sizes 1, 1/2, 1/4, ..., tried in turn
 
 
 @dataclass(eq=False)
@@ -73,7 +77,7 @@ def log_det_pd(W) -> float:
         L = np.linalg.cholesky(W)
     except np.linalg.LinAlgError:
         raise ValueError("matrix is not positive definite") from None
-    return float(2.0 * np.sum(np.log(np.diag(L))))
+    return float(2.0 * np.sum(np.log(L.diagonal())))
 
 
 def _penalty_weights(m, lam, penalize_diagonal):
@@ -111,36 +115,40 @@ def kkt_residual(S, W, lam, penalize_diagonal=False) -> float:
     return float(np.abs(_min_norm_subgradient(R, W, _penalty_weights(W.shape[0], lam, penalize_diagonal))).max())
 
 
-def _min_norm_subgradient(R, W, lamP):
+def _min_norm_subgradient(R, W, lamP, zero=None, sign=None, neg_lamP=None):
     """R + lamP sign(W) where W != 0, the soft-threshold of R by lamP where W = 0."""
-    return np.where(W == 0.0, R - np.clip(R, -lamP, lamP), R + lamP * np.sign(W))
+    if zero is None:  # a solve passes W == 0, sign(W) and -lamP precomputed
+        zero, sign, neg_lamP = W == 0.0, np.sign(W), -lamP
+    return np.where(zero, R - np.clip(R, neg_lamP, lamP), R + lamP * sign)
 
 
 def _newton_direction(Sigma, W, g, free):
-    """Symmetric D, 0 off ``free``, with (Sigma D Sigma)|_free ~ -g.
+    """Symmetric D, 0 off ``free`` (a 0/1 mask), with (Sigma D Sigma)|_free ~ -g.
 
     Conjugate gradients by matrix products, preconditioned by r -> W r W on
     the free set (W = Sigma^{-1}), the exact inverse of the full Hessian
     D -> Sigma D Sigma; when every entry is free the first step is the Newton
     direction -W g W.  Stopped at a residual of min(_CG_RTOL, sqrt|g|) |g|
-    (superlinear Newton) or after _CG_MAX_ITER.
+    (superlinear Newton) or after _CG_MAX_ITER; the updates are written in place.
     """
-    gnorm = float(np.sqrt(np.vdot(g, g)))
-    stop = min(_CG_RTOL, np.sqrt(gnorm)) * gnorm
-    D, r = np.zeros_like(g), -g
-    p = z = free * (W @ r @ W)
-    rz = float(np.vdot(r, z))
+    gnorm = math.sqrt(np.vdot(g, g))
+    stop = min(_CG_RTOL, math.sqrt(gnorm)) * gnorm
+    D, r, Hp, z, step = np.zeros_like(g), -g, np.empty_like(g), np.empty_like(g), np.empty_like(g)
+    p = free * (W @ r @ W)
+    rz = float(np.vdot(r, p))
     for _ in range(_CG_MAX_ITER):
-        Hp = free * (Sigma @ p @ Sigma)
+        np.multiply(free, Sigma @ p @ Sigma, out=Hp)
         a = rz / float(np.vdot(p, Hp))
-        D += a * p
-        r -= a * Hp
-        if float(np.sqrt(np.vdot(r, r))) <= stop:
+        D += np.multiply(p, a, out=step)
+        r -= np.multiply(Hp, a, out=Hp)
+        if math.sqrt(np.vdot(r, r)) <= stop:
             break
-        z = free * (W @ r @ W)
+        np.multiply(free, W @ r @ W, out=z)
         rz, rz_prev = float(np.vdot(r, z)), rz
-        p = z + (rz / rz_prev) * p
-    return 0.5 * (D + D.T)
+        p *= rz / rz_prev
+        p += z
+    D += D.T
+    return np.multiply(D, 0.5, out=D)
 
 
 def check_symmetric(W, name, m=None):
@@ -182,9 +190,13 @@ def _check_instance(inst):
         raise ValueError("lambda must be finite and nonnegative")
     if not 0.0 <= inst.tol < np.inf:  # 0 runs max_iter steps
         raise ValueError("tol must be finite and nonnegative")
+    if isinstance(inst.max_iter, bool) or not isinstance(inst.max_iter, numbers.Integral):  # a count for range()
+        raise ValueError(f"max_iter must be an integer, got {inst.max_iter!r}")
     if inst.max_iter < 0:
         raise ValueError("max_iter must be nonnegative")
-    return 0.5 * (S + S.T)
+    if not isinstance(inst.penalize_diagonal, (bool, np.bool_)):  # "no" would be truthy
+        raise ValueError(f"penalize_diagonal must be a boolean, got {inst.penalize_diagonal!r}")
+    return S if asym == 0.0 else 0.5 * (S + S.T)
 
 
 def solve_ggl(inst: GGLInstance, W_init=None) -> PrecisionEstimate:
@@ -197,10 +209,11 @@ def solve_ggl(inst: GGLInstance, W_init=None) -> PrecisionEstimate:
     positive definite (``W_init`` is checked, then not used).
 
     Raises ``ValueError`` on malformed inputs (an S that is not square,
-    finite and symmetric, lam or tol outside [0, inf), max_iter below 0, a
-    bad ``W_init``) and ``RuntimeError`` when no positive definite descent
-    step can be found after step-halving.  When ``max_iter`` is exhausted
-    the best iterate is returned flagged ``converged=False``.
+    finite and symmetric, lam or tol outside [0, inf), a max_iter that is not
+    an integer of at least 0, a penalize_diagonal that is not a boolean, a bad
+    ``W_init``) and ``RuntimeError`` when no positive definite descent step
+    can be found after step-halving.  When ``max_iter`` is exhausted the best
+    iterate is returned flagged ``converged=False``.
     """
     S = _check_instance(inst)
     start = None if W_init is None else warm_start(W_init, S.shape[0])
@@ -225,20 +238,23 @@ def solve_ggl(inst: GGLInstance, W_init=None) -> PrecisionEstimate:
     except ValueError:
         raise ValueError("W_init must be positive definite") from None
 
+    neg_lamP = -lamP
     for it in range(inst.max_iter + 1):
         Winv = np.linalg.inv(W) if Winv is None else Winv
-        Sigma = 0.5 * (Winv + Winv.T)
-        g = _min_norm_subgradient(S - Sigma, W, lamP)
+        Sigma = Winv + Winv.T
+        Sigma *= 0.5
+        zero, sign = W == 0.0, np.sign(W)
+        g = _min_norm_subgradient(S - Sigma, W, lamP, zero, sign, neg_lamP)
         kkt = float(np.abs(g).max())
         converged = kkt <= inst.tol
         if converged or it == inst.max_iter:
             break
 
         # sign(W), or -sign(g) where W = 0; 0 off the free set, which stays 0
-        orthant = np.where(W != 0.0, np.sign(W), -np.sign(g))
-        D = _newton_direction(Sigma, W, g, orthant != 0.0)
-        for alpha in 0.5 ** np.arange(100):
-            Wt = W + alpha * D
+        orthant = np.where(zero, -np.sign(g), sign)
+        D = _newton_direction(Sigma, W, g, np.abs(orthant))
+        for alpha in _STEPS:
+            Wt = W + D if alpha == 1.0 else W + alpha * D
             Wt = np.where(Wt * orthant > 0.0, Wt, 0.0)
             try:
                 F_t, log_det_t = _objective(S, Wt, lamP)  # one Cholesky

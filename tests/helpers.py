@@ -1,7 +1,7 @@
 """Shared test utilities: random instances, loss maps, data synthesis,
-closed-form and brute-force inner-solver oracles, a counter of linear
-algebra calls, a row-by-row CSV reader, and a strict validator for the DOT
-subset the exporter emits."""
+closed-form and brute-force inner-solver oracles, an allocating copy of the
+inner solver, a counter of linear algebra calls, a row-by-row CSV reader,
+and a strict validator for the DOT subset the exporter emits."""
 
 import csv
 import math
@@ -26,6 +26,19 @@ from iggl import (
 )
 from iggl.cli import InputError
 from iggl.core import _prepare, cross_product
+from iggl.glasso import (
+    _ARMIJO,
+    _CG_MAX_ITER,
+    _CG_RTOL,
+    _DECREASE_SLACK,
+    PrecisionEstimate,
+    _check_instance,
+    _min_norm_subgradient,
+    _objective,
+    _penalty_weights,
+    log_det_pd,
+    warm_start,
+)
 
 ALL_KINDS = (
     "quadratic",
@@ -134,6 +147,93 @@ def assert_fit_equals_reference(res, ref):
     for name, value in got.items():
         assert np.array_equal(np.asarray(value), np.asarray(ref[name])), name
     assert res.converged == ref["converged"]
+
+
+# the inner solver with a fresh array for every step; the package's solver
+# does the same arithmetic with fewer numpy calls and temporaries
+def _reference_newton_direction(Sigma, W, g, free):
+    """Symmetric D, 0 off ``free``, with (Sigma D Sigma)|_free ~ -g.
+
+    Conjugate gradients by matrix products, preconditioned by r -> W r W on
+    the free set (W = Sigma^{-1}), the exact inverse of the full Hessian
+    D -> Sigma D Sigma; when every entry is free the first step is the Newton
+    direction -W g W.  Stopped at a residual of min(_CG_RTOL, sqrt|g|) |g|
+    (superlinear Newton) or after _CG_MAX_ITER.
+    """
+    gnorm = float(np.sqrt(np.vdot(g, g)))
+    stop = min(_CG_RTOL, np.sqrt(gnorm)) * gnorm
+    D, r = np.zeros_like(g), -g
+    p = z = free * (W @ r @ W)
+    rz = float(np.vdot(r, z))
+    for _ in range(_CG_MAX_ITER):
+        Hp = free * (Sigma @ p @ Sigma)
+        a = rz / float(np.vdot(p, Hp))
+        D += a * p
+        r -= a * Hp
+        if float(np.sqrt(np.vdot(r, r))) <= stop:
+            break
+        z = free * (W @ r @ W)
+        rz, rz_prev = float(np.vdot(r, z)), rz
+        p = z + (rz / rz_prev) * p
+    return 0.5 * (D + D.T)
+
+
+def reference_solve_ggl(inst, W_init=None) -> PrecisionEstimate:
+    """:func:`iggl.solve_ggl` with a fresh array for every step, so the two must agree bit for bit.
+
+    It tests W == 0 and takes sign(W) twice per iteration, multiplies by the
+    step size at alpha = 1 and updates the conjugate-gradient arrays by
+    allocating expressions; every difference is exact in IEEE arithmetic.
+    """
+    S = _check_instance(inst)
+    start = None if W_init is None else warm_start(W_init, S.shape[0])
+    lam = float(inst.lam)
+    if lam == 0.0:
+        try:
+            np.linalg.cholesky(S)
+            W = np.linalg.inv(S)
+            W = 0.5 * (W + W.T)
+            start = (W, None, log_det_pd(W))
+        except ValueError:  # numpy's LinAlgError is one
+            raise ValueError("lambda = 0 requires a nonsingular (positive definite) S") from None
+
+    lamP = _penalty_weights(S.shape[0], lam, inst.penalize_diagonal)
+    diag_target = np.diag(S) + np.diag(lamP)
+    if np.any(diag_target <= 0):
+        raise ValueError("S has a nonpositive diagonal entry; objective is unbounded")
+
+    W, Winv, log_det = start or (np.diag(1.0 / diag_target), None, None)
+    try:
+        F, log_det = _objective(S, W, lamP, log_det)
+    except ValueError:
+        raise ValueError("W_init must be positive definite") from None
+
+    for it in range(inst.max_iter + 1):
+        Winv = np.linalg.inv(W) if Winv is None else Winv
+        Sigma = 0.5 * (Winv + Winv.T)
+        g = _min_norm_subgradient(S - Sigma, W, lamP)
+        kkt = float(np.abs(g).max())
+        converged = kkt <= inst.tol
+        if converged or it == inst.max_iter:
+            break
+
+        # sign(W), or -sign(g) where W = 0; 0 off the free set, which stays 0
+        orthant = np.where(W != 0.0, np.sign(W), -np.sign(g))
+        D = _reference_newton_direction(Sigma, W, g, orthant != 0.0)
+        for alpha in 0.5 ** np.arange(100):
+            Wt = W + alpha * D
+            Wt = np.where(Wt * orthant > 0.0, Wt, 0.0)
+            try:
+                F_t, log_det_t = _objective(S, Wt, lamP)  # one Cholesky
+            except ValueError:
+                F_t = np.inf
+            if F_t <= F + _ARMIJO * float(np.vdot(g, Wt - W)) + _DECREASE_SLACK * max(1.0, abs(F)):
+                break
+        else:
+            raise RuntimeError("no positive definite descent step found after step-halving")
+        W, F, log_det, Winv = Wt, F_t, log_det_t, None
+
+    return PrecisionEstimate(W, F, kkt, it, converged, Winv, log_det)
 
 
 # inner-solver oracles, deliberately independent of the production solver

@@ -23,7 +23,15 @@ from iggl import (
     solve_ggl,
 )
 
-from helpers import count_calls, kkt_three_case, oracle_ggl_2x2, oracle_ggl_dense, rand_spd, spd_with_zeros
+from helpers import (
+    count_calls,
+    kkt_three_case,
+    oracle_ggl_2x2,
+    oracle_ggl_dense,
+    rand_spd,
+    reference_solve_ggl,
+    spd_with_zeros,
+)
 
 
 class TestLogDet:
@@ -315,6 +323,11 @@ class TestSolve:
         ({"tol": np.nan}, "tol must be finite and nonnegative"),
         ({"tol": -1.0}, "tol must be finite and nonnegative"),
         ({"tol": np.inf}, "tol must be finite and nonnegative"),
+        ({"max_iter": 2.5}, "max_iter must be an integer, got 2.5"),
+        ({"max_iter": np.nan}, "max_iter must be an integer, got nan"),
+        ({"max_iter": True}, "max_iter must be an integer, got True"),
+        ({"penalize_diagonal": "no"}, "penalize_diagonal must be a boolean, got 'no'"),
+        ({"penalize_diagonal": 1}, "penalize_diagonal must be a boolean, got 1"),
     ])
     def test_rejects_bad_instance(self, change, message):
         inst = GGLInstance(**{"S": np.array([[1.0, 0.3], [0.3, 1.0]]), "lam": 0.1, **change})
@@ -344,6 +357,12 @@ class TestSolve:
             solve_ggl(GGLInstance(np.array([[1.0, 0.3], [0.3, 1.0]]), 0.1))
         assert len(calls) == 1 + 100
 
+    def test_numpy_integer_and_boolean_options_accepted(self):
+        S = np.array([[1.0, 0.3], [0.3, 1.0]])
+        plain = solve_ggl(GGLInstance(S, 0.1, True, max_iter=3))
+        numpy = solve_ggl(GGLInstance(S, 0.1, np.bool_(True), max_iter=np.int64(3)))
+        assert np.array_equal(plain.W, numpy.W) and plain.iterations == numpy.iterations
+
     def test_zero_iterations_accepted(self):
         est = solve_ggl(GGLInstance(np.array([[1.0, 0.3], [0.3, 1.0]]), 0.1, max_iter=0))
         assert est.iterations == 0 and not est.converged
@@ -359,6 +378,62 @@ class TestSolve:
     def test_bad_warm_start_named(self, bad, message, lam):
         with pytest.raises(ValueError, match=message):
             solve_ggl(GGLInstance(np.array([[1.0, 0.3], [0.3, 1.0]]), lam), W_init=bad)
+
+
+class TestAgainstReferenceSolver:
+    """``solve_ggl`` against :func:`helpers.reference_solve_ggl`, its allocating copy, bit for bit."""
+
+    @staticmethod
+    def assert_same(inst, W_init=None, ref_init=None):
+        est = solve_ggl(inst, W_init=W_init)
+        ref = reference_solve_ggl(inst, W_init=W_init if ref_init is None else ref_init)
+        for name in ("W", "W_inv", "objective", "log_det", "kkt_residual", "iterations", "converged"):
+            assert np.array_equal(getattr(est, name), getattr(ref, name)), name
+        return est, ref
+
+    def test_zero_penalty_and_a_penalized_diagonal(self):
+        rng = np.random.default_rng(41)
+        steps = 0
+        for m in (3, 8, 15):
+            S = rand_spd(m, rng)
+            steps += self.assert_same(GGLInstance(S, 0.0))[0].iterations
+            for pen in (False, True):
+                steps += self.assert_same(GGLInstance(S, 0.1, pen))[0].iterations
+        assert steps > 0
+
+    def test_warm_starts_from_an_array_and_from_an_estimate(self):
+        rng = np.random.default_rng(42)
+        S1 = rand_spd(12, rng)
+        S2 = S1 + 0.05 * rand_spd(12, rng)
+        for pen in (False, True):
+            first = solve_ggl(GGLInstance(S1, 0.2, pen))
+            kept = (first.W.copy(), first.W_inv.copy())
+            W0 = first.W + 1e-12 * np.triu(rng.standard_normal((12, 12)))  # symmetric only to its tolerance
+            for start in (W0, first):
+                est, _ = self.assert_same(GGLInstance(S2, 0.1, pen), W_init=start)
+                assert est.iterations > 0
+            assert np.array_equal(first.W, kept[0]) and np.array_equal(first.W_inv, kept[1])
+
+    def test_a_max_iter_cap(self):
+        S = rand_spd(10, np.random.default_rng(43))
+        est, _ = self.assert_same(GGLInstance(S, 0.05, tol=0.0, max_iter=3))
+        assert est.iterations == 3 and not est.converged
+
+    def test_a_condition_1e6_s(self):
+        Q, _ = np.linalg.qr(np.random.default_rng(44).standard_normal((20, 20)))
+        S = Q @ np.diag(np.geomspace(1.0, 1e-6, 20)) @ Q.T  # symmetric only to rounding
+        assert not np.array_equal(S, S.T)
+        steps = sum(self.assert_same(GGLInstance(S, lam))[0].iterations for lam in (0.0, 1e-4, 1e-2))
+        assert steps > 0
+
+    @pytest.mark.parametrize("m", [40, 60])
+    def test_warm_started_path_sequences(self, m):
+        Y = sample_gaussian(400, make_precision(GraphPattern("chain", m)), seed=m)
+        S = first_iteration_s(FitProblem(Y=Y, losses=tuple(make_loss("quadratic") for _ in range(m)), lam=0.0))
+        est = ref = None
+        for lam in lambda_grid(S, n_points=8):
+            est, ref = self.assert_same(GGLInstance(S, float(lam)), W_init=est, ref_init=ref)
+        assert np.count_nonzero(est.W) > m
 
 
 class TestNewtonDirection:
