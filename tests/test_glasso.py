@@ -360,8 +360,8 @@ class TestSolve:
     def test_numpy_integer_and_boolean_options_accepted(self):
         S = np.array([[1.0, 0.3], [0.3, 1.0]])
         plain = solve_ggl(GGLInstance(S, 0.1, True, max_iter=3))
-        numpy = solve_ggl(GGLInstance(S, 0.1, np.bool_(True), max_iter=np.int64(3)))
-        assert np.array_equal(plain.W, numpy.W) and plain.iterations == numpy.iterations
+        typed = solve_ggl(GGLInstance(S, 0.1, np.bool_(True), max_iter=np.int64(3)))
+        assert np.array_equal(plain.W, typed.W) and plain.iterations == typed.iterations
 
     def test_zero_iterations_accepted(self):
         est = solve_ggl(GGLInstance(np.array([[1.0, 0.3], [0.3, 1.0]]), 0.1, max_iter=0))
