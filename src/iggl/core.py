@@ -257,10 +257,12 @@ def _golden_section(fun, lo, hi, tol=1e-10):
 def estimate_intercepts(Y, losses) -> np.ndarray:
     """Per-column intercepts minimizing the column loss at a constant fit.
 
-    Quadratic columns return the mean, count columns the log of the column
-    total, and Bernoulli columns the logit of the label mean,
-    ``log(ybar) - log1p(-ybar)``, the deviance's exact minimizer; every other
-    column is minimized by golden section to an absolute tolerance of 1e-10.
+    The closed forms take one contiguous transposed block per kind, whose
+    rows reduce exactly as the columns alone do: quadratic columns return the
+    mean, count columns the log of the column total, and Bernoulli columns of
+    both labels the logit of the mean, ``log(ybar) - log1p(-ybar)``, the
+    deviance's exact minimizer.  Every other column, in column order, is
+    minimized by golden section to an absolute tolerance of 1e-10.
     Columns of a kind with a label pair, whose minimizer can run away
     (separable labels, or a Bernoulli column of one label), are clipped to
     +/- 20 * max(scale, 1) with a warning.  Like :func:`batch_value`, it
@@ -272,21 +274,21 @@ def estimate_intercepts(Y, losses) -> np.ndarray:
     m = Y.shape[1]
     if len(losses) != m:
         raise ValueError("expected one loss per column")
-    alpha = np.empty(m)
-    quadratic = [k for k, loss in enumerate(losses) if loss.kind == "quadratic"]
-    alpha[quadratic] = np.mean(np.ascontiguousarray(Y[:, quadratic].T), axis=1)
+    alpha, searched, groups = np.empty(m), np.ones(m, dtype=bool), {}
     for k, loss in enumerate(losses):
-        y = Y[:, k]
-        if loss.kind == "quadratic":
+        groups.setdefault(loss.kind, []).append(k)
+    for kind, cols in groups.items():
+        if kind not in ("quadratic", "bernoulli", "poisson_reparam"):
             continue
-        if loss.kind == "poisson_reparam":
-            alpha[k] = float(np.log(np.sum(y)))
-            continue
-        if loss.kind == "bernoulli":
-            ybar = float(np.mean(y))
-            if 0.0 < ybar < 1.0:
-                alpha[k] = np.log(ybar) - np.log1p(-ybar)
-                continue
+        T = np.ascontiguousarray(Y.T[cols])  # row j is column cols[j]
+        a = np.log(np.sum(T, axis=1)) if kind == "poisson_reparam" else np.mean(T, axis=1)
+        if kind == "bernoulli":  # the logit of the mean; a column of one label is searched below
+            two = (a > 0.0) & (a < 1.0)
+            cols, a = np.asarray(cols)[two], np.log(a[two]) - np.log1p(-a[two])
+        alpha[cols] = a
+        searched[cols] = False
+    for k in np.flatnonzero(searched):
+        loss, y = losses[k], Y[:, k]
         clipped = _KINDS[loss.kind].labels is not None
         if clipped:
             try:
@@ -322,6 +324,11 @@ def poisson_preprocess(Y, columns):
             for k in columns}
 
 
+def _check_real(name, value):  # a boolean or a string would pass float() and fit at 1.0 or its value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 def _prepare(problem) -> PreparedProblem:
     """Validate the problem and resolve losses, mean, W0 and phi; a prepared one passes through."""
     if isinstance(problem, PreparedProblem):
@@ -340,6 +347,8 @@ def _prepare(problem) -> PreparedProblem:
             raise ValueError(f"{name} must be at least 1")
     if not isinstance(problem.penalize_diagonal, (bool, np.bool_)):  # "no" would be truthy
         raise ValueError(f"penalize_diagonal must be a boolean, got {problem.penalize_diagonal!r}")
+    for name in ("outer_tol", "inner_tol"):
+        _check_real(name, getattr(problem, name))
     if not 0.0 <= problem.outer_tol < np.inf:  # 0 runs to max_outer
         raise ValueError("outer_tol must be finite and nonnegative")
     if not 0.0 < problem.inner_tol < np.inf:
@@ -374,6 +383,8 @@ def _prepare(problem) -> PreparedProblem:
         M = np.asarray(problem.M, dtype=float)
         if M.shape != Y.shape:
             raise ValueError("M must match Y's shape")
+        if not np.all(np.isfinite(M)):
+            raise ValueError("M contains non-finite entries")
         alpha = None
     else:
         alpha = estimate_intercepts(Y, losses)
@@ -403,12 +414,15 @@ def first_iteration_s(problem) -> np.ndarray:
     Used to anchor the penalty grid before any fitting happens; it does not
     depend on the penalty itself.  Takes a problem or a prepared problem, and
     returns a fresh array (a copy of the prepared S, when there is one).
+    Otherwise two n x m buffers hold Y - M, Theta0, Xi and Xi - M in turn.
     """
     p = _prepare(problem)
     if p.S is not None:
         return p.S.copy()
-    Theta0 = _blend(p.Y, p.Y - p.M, p.W0, p.phi)  # W0 is diagonal and feasible
-    return cross_product(xi_update(Theta0, p.Y, p.losses), p.M)
+    E = np.subtract(p.Y, p.M)
+    Theta = np.multiply(E, p.W0.diagonal())  # E @ W0 for the diagonal W0, up to the sign of a zero
+    np.subtract(p.Y, np.multiply(Theta, p.phi, out=Theta), out=Theta)  # _blend's arithmetic; W0 is feasible
+    return cross_product(xi_update(Theta, p.Y, p.losses, out=E), p.M, out=Theta)
 
 
 def outer_step(prepared, state, est, tol, work, S=None):
@@ -457,6 +471,7 @@ def fit(problem, W_init=None) -> FitResult:
     """
     prepared = _prepare(problem)
     problem, Y, M, phi = prepared.problem, prepared.Y, prepared.M, prepared.phi
+    _check_real("lam", problem.lam)  # here, not in _prepare: the fits of a path share one prepared problem
 
     est = prepared.W0 if W_init is None else W_init
     W_start = warm_start(est, Y.shape[1])[0]  # checks W_init; the blend or _check_feasible checks its feasibility

@@ -291,7 +291,7 @@ def check_domain(kind, y):
     y = np.asarray(y)
     if labels is not None:
         lo, hi = labels
-        if not np.all((y == lo) | (y == hi)):  # the message names {0, 1} or {-1, +1}
+        if np.count_nonzero(y == lo) + np.count_nonzero(y == hi) != y.size:  # the message names {0, 1} or {-1, +1}
             raise ValueError(f"{kind} loss requires labels in {{{lo}, {'+' if lo < 0 else ''}{hi}}}")
     elif kind == "poisson_reparam":
         if np.any(y < 0) or np.any(y != np.floor(y)):

@@ -1,11 +1,13 @@
 """Shared test utilities: random instances, loss maps, data synthesis,
 closed-form and brute-force inner-solver oracles, an allocating copy of the
-inner solver, a counter of linear algebra calls, a row-by-row CSV reader,
-and a strict validator for the DOT subset the exporter emits."""
+inner solver, per-column copies of the fit set-up, a counter of linear
+algebra calls, a row-by-row CSV reader, and a strict validator for the DOT
+subset the exporter emits."""
 
 import csv
 import math
 import re
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -25,7 +27,7 @@ from iggl import (
     xi_update,
 )
 from iggl.cli import InputError
-from iggl.core import _prepare, cross_product
+from iggl.core import _blend, _golden_section, _prepare, cross_product
 from iggl.glasso import (
     _ARMIJO,
     _CG_MAX_ITER,
@@ -39,6 +41,7 @@ from iggl.glasso import (
     log_det_pd,
     warm_start,
 )
+from iggl.losses import _KINDS, _VALUE, _scaled_kernel
 
 ALL_KINDS = (
     "quadratic",
@@ -147,6 +150,60 @@ def assert_fit_equals_reference(res, ref):
     for name, value in got.items():
         assert np.array_equal(np.asarray(value), np.asarray(ref[name])), name
     assert res.converged == ref["converged"]
+
+
+# the fit set-up one column at a time, with a fresh array for every step; the
+# package computes the closed-form intercepts by kind and the first blend as a
+# broadcast product into two buffers, and must agree with these bit for bit
+def reference_estimate_intercepts(Y, losses) -> np.ndarray:
+    """Per-column intercepts minimizing the column loss at a constant fit, one column at a time."""
+    Y = np.asarray(Y, dtype=float)
+    m = Y.shape[1]
+    if len(losses) != m:
+        raise ValueError("expected one loss per column")
+    alpha = np.empty(m)
+    quadratic = [k for k, loss in enumerate(losses) if loss.kind == "quadratic"]
+    alpha[quadratic] = np.mean(np.ascontiguousarray(Y[:, quadratic].T), axis=1)
+    for k, loss in enumerate(losses):
+        y = Y[:, k]
+        if loss.kind == "quadratic":
+            continue
+        if loss.kind == "poisson_reparam":
+            alpha[k] = float(np.log(np.sum(y)))
+            continue
+        if loss.kind == "bernoulli":
+            ybar = float(np.mean(y))
+            if 0.0 < ybar < 1.0:
+                alpha[k] = np.log(ybar) - np.log1p(-ybar)
+                continue
+        clipped = _KINDS[loss.kind].labels is not None
+        if clipped:
+            try:
+                sigma = robust_scale(y)
+            except ValueError:
+                sigma = 0.0
+            bound = 20.0 * max(sigma, 1.0)
+            lo, hi = -bound, bound
+        else:
+            lo, hi = float(np.min(y)), float(np.max(y))
+        # the kernel broadcasts the scalar intercept over y; a constant column's bracket has zero width
+        alpha[k] = a_hat = lo if hi - lo <= 0 else _golden_section(
+            lambda a: float(np.sum(_scaled_kernel(_VALUE, loss, a, y))), lo, hi)
+        if clipped and min(a_hat - lo, hi - a_hat) < 1e-6 * (hi - lo):
+            warnings.warn(
+                f"column {k}: intercept search hit the clipped range [{lo:g}, {hi:g}]; "
+                "the 1-d problem may be unbounded below"
+            )
+    return alpha
+
+
+def reference_first_iteration_s(problem) -> np.ndarray:
+    """Cross-product matrix the first inner solve would see, blended through W0 by a matrix product."""
+    p = _prepare(problem)
+    if p.S is not None:
+        return p.S.copy()
+    Theta0 = _blend(p.Y, p.Y - p.M, p.W0, p.phi)  # W0 is diagonal and feasible
+    return cross_product(xi_update(Theta0, p.Y, p.losses), p.M)
 
 
 # the inner solver with a fresh array for every step; the package's solver

@@ -57,3 +57,16 @@ def test_tracer_counts_the_inner_solvers_lapack_calls():
         tracer.restore()
     assert tracer.counters["glasso.inv_calls"] > 0
     assert tracer.counters["glasso.chol_calls"] > 0
+
+
+def test_traced_set_up_records_the_prepare_span():
+    # core.prepare_s sums the spans of estimate_intercepts, poisson_preprocess and choose_phi, which
+    # _prepare must call through iggl.core's globals; a name bound locally would read 0
+    Y = synth_data("bernoulli", 5, 200, seed=75)
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        iggl.core.first_iteration_s(FitProblem(Y=Y, losses=loss_map_for("bernoulli", Y), lam=0.05))
+    finally:
+        tracer.restore()
+    assert tracer.summary()[2]["core.prepare"] >= 1

@@ -5,6 +5,7 @@ import importlib.util
 import os
 import pickle
 import pkgutil
+import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -40,7 +41,16 @@ import iggl.select
 from iggl.core import IterState, _prepare, cross_product, outer_step, spectral_norm
 from iggl.losses import _VALUE, _scaled_kernel, check_domain, robust_scale
 
-from helpers import ALL_KINDS, assert_fit_equals_reference, count_calls, loss_map_for, reference_fit, synth_data
+from helpers import (
+    ALL_KINDS,
+    assert_fit_equals_reference,
+    count_calls,
+    loss_map_for,
+    reference_estimate_intercepts,
+    reference_first_iteration_s,
+    reference_fit,
+    synth_data,
+)
 
 
 def quad_map(m):
@@ -572,8 +582,14 @@ class TestFit:
         ({"inner_max_iter": float("nan")}, r"^inner_max_iter must be an integer, got nan$"),
         # a truthy string used to penalize the diagonal
         ({"penalize_diagonal": "no"}, r"^penalize_diagonal must be a boolean, got 'no'$"),
+        # float() used to take each of these: "0.1" fitted at 0.1 and True at 1.0
+        ({"lam": "0.1"}, r"^lam must be a real number, got '0\.1'$"),
+        ({"lam": True}, r"^lam must be a real number, got True$"),
+        ({"outer_tol": True}, r"^outer_tol must be a real number, got True$"),
+        ({"inner_tol": True}, r"^inner_tol must be a real number, got True$"),
     ], ids=["1-d", "one-row", "one-column", "no-outer-step", "too-few-losses", "M-shape", "fractional-outer",
-            "infinite-outer", "boolean-outer", "fractional-inner", "nan-inner", "string-penalize-diagonal"])
+            "infinite-outer", "boolean-outer", "fractional-inner", "nan-inner", "string-penalize-diagonal",
+            "string-lam", "boolean-lam", "boolean-outer-tol", "boolean-inner-tol"])
     def test_malformed_problem_rejected(self, change, message):
         prob = replace(FitProblem(Y=synth_data("quadratic", 3, 20, seed=5), losses=quad_map(3), lam=0.1), **change)
         with pytest.raises(ValueError, match=message):
@@ -585,6 +601,24 @@ class TestFit:
         plain = fit(prob)
         numpy = fit(replace(prob, max_outer=np.int64(7), inner_max_iter=np.int32(50), penalize_diagonal=np.True_))
         assert np.array_equal(plain.estimate.W, numpy.estimate.W) and plain.state.F_trace == numpy.state.F_trace
+
+    def test_numpy_real_penalty_and_tolerances_accepted(self):
+        prob = FitProblem(Y=synth_data("huber", 3, 40, seed=5), losses=(make_loss("huber", c=1.0),) * 3, lam=0.1,
+                          outer_tol=1e-6, inner_tol=1e-7)
+        plain = fit(prob)
+        numpy = fit(replace(prob, lam=np.float64(0.1), outer_tol=np.float32(1e-6), inner_tol=np.float64(1e-7)))
+        assert np.array_equal(plain.estimate.W, numpy.estimate.W) and plain.state.F_trace == numpy.state.F_trace
+        assert fit(replace(prob, lam=0)).lam == 0.0  # an integer penalty is a real number
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("call", [fit, first_iteration_s])
+    def test_nonfinite_mean_rejected(self, value, call):
+        # fit used to fail in the inner solver ("S has non-finite entries") and first_iteration_s returned it
+        Y = synth_data("quadratic", 3, 50, seed=5)
+        M = np.zeros_like(Y)
+        M[0, 0] = value
+        with pytest.raises(ValueError, match=r"^M contains non-finite entries$"):
+            call(FitProblem(Y=Y, losses=quad_map(3), lam=0.1, M=M))
 
     @pytest.mark.parametrize("scale, column", [((1e200,) * 3, 0), ((1e200, 1.0, 1.0), 0), ((1.0, 1.0, 1e155), 2)],
                              ids=["every-column", "first-column", "just-past-the-float-range"])
@@ -811,6 +845,83 @@ class TestFirstIterationS:
         a = first_iteration_s(FitProblem(Y=Y, losses=losses, lam=0.0))
         b = first_iteration_s(FitProblem(Y=Y, losses=losses, lam=5.0))
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("kind, bound", [("bernoulli", 2.25), ("quadratic", 1.25)])
+    def test_traced_peak_in_n_by_m_arrays(self, kind, bound):
+        # two n x m buffers and the m x m cross-product; the blend as a matrix product into fresh arrays read 3.13
+        Y = synth_data(kind, 40, 2000, seed=16)
+        prob = FitProblem(Y=Y, losses=loss_map_for(kind, Y), lam=0.1)
+        first_iteration_s(prob)
+        tracemalloc.start()
+        try:
+            first_iteration_s(prob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * Y.nbytes
+
+
+class TestSetUpMatchesPerColumnReference:
+    """The by-kind set-up against per-column copies of it (tests/helpers.py), bit for bit.
+
+    The intercepts, W0, phi and the first-iteration cross-product must be
+    ``np.array_equal`` to the per-column intercepts and the blend through W0
+    as a matrix product, with the same clipped searches and warnings.
+    """
+
+    @staticmethod
+    def assert_set_up_matches(prob, monkeypatch):
+        seen = []
+        original = iggl.core.estimate_intercepts
+        monkeypatch.setattr(iggl.core, "estimate_intercepts", lambda Y, losses: seen.append((Y, losses)) or
+                            original(Y, losses))
+        p = _prepare(prob)
+        if prob.M is None:
+            assert np.array_equal(p.intercepts, reference_estimate_intercepts(*seen[0]))
+        else:
+            assert p.intercepts is None and seen == []
+        W0 = np.diag(1.0 / np.var(prob.Y, axis=0, ddof=1))
+        assert np.array_equal(p.W0, W0) and p.phi == prob.phi_c / np.max(np.diag(W0))
+        for problem in (prob, p):
+            assert np.array_equal(first_iteration_s(problem), reference_first_iteration_s(problem))
+
+    @pytest.mark.parametrize("phi_c", [1e-3, 0.9])  # at 0.9 the blend moves Theta0 by about Y's own size
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_each_kind_alone(self, kind, phi_c, monkeypatch):
+        Y = synth_data(kind, 6, 300, seed=40 + ALL_KINDS.index(kind))
+        self.assert_set_up_matches(FitProblem(Y=Y, losses=loss_map_for(kind, Y), lam=0.1, phi_c=phi_c), monkeypatch)
+
+    @pytest.mark.parametrize("given_M", [False, True], ids=["intercepts", "M-given"])
+    def test_every_kind_mixed(self, given_M, monkeypatch):
+        # two columns of each kind, interleaved, so every kind's block is an index copy
+        order = ALL_KINDS + ALL_KINDS[::-1]
+        columns = [synth_data(kind, 2, 250, seed=50 + j)[:, j % 2] for j, kind in enumerate(order)]
+        Y = np.column_stack(columns)
+        losses = tuple(loss_map_for(kind, Y[:, [j]])[0] for j, kind in enumerate(order))
+        M = 0.1 * np.random.default_rng(5).standard_normal(Y.shape) if given_M else None
+        self.assert_set_up_matches(FitProblem(Y=Y, losses=losses, lam=0.1, M=M, phi_c=0.5), monkeypatch)
+
+    def test_count_and_bernoulli_blocks_with_quadratic_columns(self, monkeypatch):
+        counts = synth_data("poisson_reparam", 5, 400, seed=60)
+        labels = synth_data("bernoulli", 5, 400, seed=61)
+        Y = np.column_stack([counts, labels, synth_data("quadratic", 2, 400, seed=62)])
+        losses = (ColumnLoss("poisson_reparam", {}),) * 5 + (make_loss("bernoulli"),) * 5 + quad_map(2)
+        self.assert_set_up_matches(FitProblem(Y=Y, losses=losses, lam=0.1), monkeypatch)
+
+    def test_one_label_bernoulli_columns_take_the_same_clipped_search(self):
+        # only a direct call sees them: fit rejects a column of zero variance
+        Y = np.column_stack([np.ones(30), synth_data("bernoulli", 2, 30, seed=63), np.zeros(30),
+                             synth_data("quadratic", 2, 30, seed=64)[:, 0]])
+        losses = (make_loss("bernoulli"),) * 4 + (make_loss("quadratic"),)
+        with warnings.catch_warnings(record=True) as got:
+            warnings.simplefilter("always")
+            alpha = estimate_intercepts(Y, losses)
+        with warnings.catch_warnings(record=True) as want:
+            warnings.simplefilter("always")
+            ref = reference_estimate_intercepts(Y, losses)
+        assert np.array_equal(alpha, ref)
+        assert [str(w.message) for w in got] == [str(w.message) for w in want]
+        assert [str(w.message)[:9] for w in got] == ["column 0:", "column 3:"]
 
 
 class TestInexactInnerSolves:
